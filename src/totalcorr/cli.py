@@ -10,25 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from . import measures, roof, states
 from .core import RegisterShape, ResourceLimitError
-from .states import PureState, RegisterShape as _Shape  # noqa: F401
+from .states import PureState
 
-FAMILY_MIN_N = {
-    "ghz": 2,
-    "w": 2,
-    "wbar": 2,
-    "cluster": 4,
-    "epr_power": 2,
-    "family1": 3,
-    "family2": 3,
-}
-PARAMETRIC = ("family1", "family2")
 SWEEP_HEADER = "family,n,x,O,M,S,MW,O_rel,M_rel,S_rel"
 
 
@@ -40,47 +29,12 @@ def _jnum(v: float) -> float:
     return float(_fmt(v))
 
 
-def epr_power(n: int) -> PureState:
-    """EPR^{(x)(n/2)} for even n."""
-    if n < 2 or n % 2:
-        raise ValueError("epr_power requires an even n >= 2")
-    return states.product([states.epr()] * (n // 2))
-
-
-def _family_state(family: str, n: int, x: float | None) -> PureState:
-    if family == "ghz":
-        return states.ghz(n)
-    if family == "epr":
-        return states.epr()
-    if family == "w":
-        return states.w(n)
-    if family == "wbar":
-        return states.wbar(n)
-    if family == "cluster":
-        return states.cluster(n)
-    if family == "epr_power":
-        return epr_power(n)
-    if family == "family1":
-        if x is None:
-            raise ValueError("family1 requires --x")
-        return states.family1(x, n)
-    if family == "family2":
-        if x is None:
-            raise ValueError("family2 requires --x")
-        return states.family2(x, n)
-    raise ValueError(f"unknown state family {family!r}")
-
-
 def _load_input_state(args) -> states.State:
     if args.file:
         return states.load_state(args.file)
     if not args.state:
         raise ValueError("provide --state <name> or --file <path>")
-    if args.state == "epr":
-        return states.epr()
-    if args.n is None:
-        raise ValueError(f"--state {args.state} requires --n")
-    return _family_state(args.state, args.n, args.x)
+    return states.family_state(args.state, args.n, args.x)
 
 
 def _report_dict(state: states.State) -> dict:
@@ -124,25 +78,26 @@ def _parse_range(spec: str) -> list[int]:
 
 
 def _x_grid(spec: str) -> list[float]:
-    lo, step_count = spec.split(":")[0], spec.split(":")
-    if len(step_count) == 3:
-        lo, hi, step = (float(v) for v in step_count)
-    else:
-        lo, hi, step = 0.0, 1.0, 0.05
+    """The points lo, lo + step, ... up to hi of `lo:hi:step`, or the one point `x`.
+
+    The points lie in [0, 1], the families' parameter range, and each must
+    be exact at the two decimals the CSV writes.
+    """
+    vals = [float(v) for v in spec.split(":")]
+    if len(vals) == 1:
+        vals += [vals[0], 1.0]
+    if len(vals) != 3 or not (0.0 <= vals[0] <= vals[1] <= 1.0 and vals[2] >= 0.01):
+        raise ValueError(
+            f"--x-grid {spec!r} is not x or lo:hi:step with 0 <= lo <= hi <= 1, step >= 0.01"
+        )
+    lo, hi, step = vals
     grid, k = [], 0
-    while True:
-        x = round(lo + k * step, 10)
-        if x > hi + 1e-12:
-            break
-        grid.append(round(x, 2))
+    while (x := round(lo + k * step, 10)) <= hi + 1e-12:
+        grid.append(x)
         k += 1
+    if any(round(x, 2) != x for x in grid):
+        raise ValueError(f"--x-grid {spec!r} has points that are not exact at two decimals")
     return grid
-
-
-def _family_ns(family: str, ns: list[int]) -> list[int]:
-    min_n = FAMILY_MIN_N[family]
-    even_only = family in ("cluster", "epr_power")
-    return [n for n in ns if n >= min_n and (not even_only or n % 2 == 0)]
 
 
 def cmd_sweep(args) -> int:
@@ -153,32 +108,21 @@ def cmd_sweep(args) -> int:
 
     def ghz_values(n):
         if n not in ghz_cache:
-            g = states.ghz(n)
-            o, m = measures.measure_O(g), measures.measure_M(g)
-            ghz_cache[n] = (o, m, 0.5 * (o + m))
+            rep = measures.measure_report(states.ghz(n))
+            ghz_cache[n] = (rep.O, rep.M, rep.S)
         return ghz_cache[n]
 
     lines = [SWEEP_HEADER]
     for family in families:
-        for n in _family_ns(family, ns):
-            grid = xs if family in PARAMETRIC else [None]
-            for x in grid:
-                psi = _family_state(family, n, x)
-                o, m = measures.measure_O(psi), measures.measure_M(psi)
-                s = 0.5 * (o + m)
-                mw = measures.measure_MW(psi)
-                if args.ghz_norm:
-                    go, gm, gs = ghz_values(n)
-                    rel = (o / go, m / gm, s / gs)
-                else:
-                    rel = (o, m, s)
+        fam = states.FAMILIES[family]
+        for n in filter(fam.allows, ns):
+            for x in xs if fam.parametric else [None]:
+                rep = measures.measure_report(states.family_state(family, n, x))
+                vals = (rep.O, rep.M, rep.S)
+                rel = [v / g for v, g in zip(vals, ghz_values(n))] if args.ghz_norm else vals
                 xcol = "" if x is None else f"{x:.2f}"
                 lines.append(
-                    ",".join(
-                        [family, str(n), xcol]
-                        + [_fmt(v) for v in (o, m, s, mw)]
-                        + [_fmt(v) for v in rel]
-                    )
+                    ",".join([family, str(n), xcol] + [_fmt(v) for v in (*vals, rep.MW, *rel)])
                 )
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -363,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None)
 
     def add_state_source(p):
-        p.add_argument("--state", choices=sorted(FAMILY_MIN_N) + ["epr"], default=None)
+        p.add_argument("--state", choices=sorted(states.FAMILIES), default=None)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--x", type=float, default=None)
         p.add_argument("--file", default=None)
@@ -375,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="emit CSV rows over a family grid")
     add_common(p)
-    p.add_argument("--family", action="append", choices=sorted(FAMILY_MIN_N))
+    p.add_argument("--family", action="append", choices=sorted(states.FAMILIES))
     p.add_argument("--n-range", default="2:12")
     p.add_argument("--x-grid", default="0:1:0.05")
     p.add_argument("--no-ghz-norm", dest="ghz_norm", action="store_false")

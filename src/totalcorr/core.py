@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_TOL = 1e-10
+INPUT_TOL = 1e-8  # accepted deviation of a density matrix given as input
 
 
 class ResourceLimitError(RuntimeError):
@@ -164,6 +165,11 @@ class ValidationReport:
 def validate_density(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check Hermiticity, unit trace and positivity at tolerance `tol`."""
     mat = rho.matrix
+    sym = (mat + mat.conj().T) / 2
+    return _validation_report(mat, np.linalg.eigvalsh(sym), tol)
+
+
+def _validation_report(mat: np.ndarray, spectrum: np.ndarray, tol: float) -> ValidationReport:
     violations = []
     herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
     if herm_dev > tol:
@@ -171,8 +177,7 @@ def validate_density(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> Validation
     trace_dev = float(abs(np.trace(mat) - 1.0))
     if trace_dev > tol:
         violations.append(f"trace differs from 1 by {trace_dev:.3e}")
-    sym = (mat + mat.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    min_eig = float(np.min(spectrum))
     if min_eig < -tol:
         violations.append(f"negative eigenvalue {min_eig:.3e}")
     return ValidationReport(
@@ -182,3 +187,13 @@ def validate_density(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> Validation
         trace_deviation=trace_dev,
         min_eigenvalue=min_eig,
     )
+
+
+def _require_density(rho: DensityMatrix, spectrum: np.ndarray | None = None) -> None:
+    """Raise ValueError unless rho is a density matrix within INPUT_TOL;
+    a caller that already diagonalized rho passes its eigenvalues."""
+    if spectrum is None:
+        spectrum = np.linalg.eigvalsh(rho.matrix)
+    report = _validation_report(rho.matrix, spectrum, INPUT_TOL)
+    if not report.ok:
+        raise ValueError("invalid density matrix: " + "; ".join(report.violations))

@@ -21,6 +21,7 @@ from .core import (
     RegisterShape,
     ResourceLimitError,
     SupportError,
+    _require_density,
     partial_trace_matrix,
     pure_marginal,
 )
@@ -48,28 +49,27 @@ def _marginal(state: State, keep: Iterable[int]) -> np.ndarray:
     return partial_trace_matrix(state.matrix, state.shape.dims, keep)
 
 
-def _check_density_input(rho: DensityMatrix, tol: float = 1e-8) -> None:
-    mat = rho.matrix
-    if np.max(np.abs(mat - mat.conj().T)) > tol:
-        raise ValueError("input is not Hermitian")
-    if abs(np.trace(mat) - 1.0) > tol:
-        raise ValueError("input trace differs from 1")
+def _whole_entropy(state: State, check: bool = True) -> float:
+    """S(rho); a density's positivity is checked on the same spectrum."""
+    if isinstance(state, PureState):
+        return 0.0
+    spectrum = np.linalg.eigvalsh(state.matrix)
+    if check:
+        _require_density(state, spectrum)
+    return _entropy_of_eigenvalues(spectrum)
 
 
 def von_neumann_entropy(rho: State) -> float:
     """S(rho) = -Tr rho log2 rho; eigenvalues below the clamp contribute 0."""
-    if isinstance(rho, PureState):
-        return 0.0
-    _check_density_input(rho)
-    return _entropy_matrix(rho.matrix)
+    return _whole_entropy(rho)
 
 
 def linear_entropy(rho: State) -> float:
     """1 - Tr rho^2, in [0, 1 - 1/D]."""
     if isinstance(rho, PureState):
         return 0.0
-    _check_density_input(rho)
-    return float(1.0 - np.real(np.trace(rho.matrix @ rho.matrix)))
+    _require_density(rho)
+    return _linear_entropy_sum([rho.matrix])
 
 
 def mutual_information(state: State, a: Iterable[int], b: Iterable[int]) -> float:
@@ -80,6 +80,8 @@ def mutual_information(state: State, a: Iterable[int], b: Iterable[int]) -> floa
         raise ValueError("index sets must be non-empty")
     if set(a) & set(b):
         raise ValueError(f"index sets overlap: {a} and {b}")
+    if isinstance(state, DensityMatrix):
+        _require_density(state)
     s_a = _entropy_matrix(_marginal(state, a))
     s_b = _entropy_matrix(_marginal(state, b))
     s_ab = _entropy_matrix(_marginal(state, a + b))
@@ -91,41 +93,76 @@ def pairwise_probe(state: State, i: int, j: int) -> float:
     return 0.5 * mutual_information(state, (i,), (j,))
 
 
-def _single_entropies(state: State) -> list[float]:
+def _correlations(singles: Sequence, pairs: dict, whole) -> dict:
+    """P of each pair, O, M and S from marginal entropies, keyed by name.
+
+    `singles[i]` is S(rho_i), `pairs[(i, j)]` is S(rho_ij) in `combinations`
+    order, and `whole` is S(rho): floats for one state, or per-row arrays
+    for a batch of pure members. M is a running sum rather than `sum()`,
+    which compensates float sums on newer Pythons, so both kinds of input
+    add in the same order.
+    """
+    probes = {(i, j): 0.5 * (singles[i] + singles[j] - s_ij) for (i, j), s_ij in pairs.items()}
+    m_val = 0.0
+    for value in probes.values():
+        m_val += value
+    o_val = 0.5 * (sum(singles) - whole)
+    return {"P": probes, "O": o_val, "M": m_val, "S": 0.5 * (o_val + m_val)}
+
+
+def _linear_entropy_sum(reds: Iterable[np.ndarray]) -> float:
+    """Sum of 1 - Tr(red^2) over unit-trace matrices."""
+    total = 0.0
+    for red in reds:
+        total += 1.0 - float(np.real(np.trace(red @ red)))
+    return total
+
+
+def _marginal_pass(state: State, with_pairs: bool = True,
+                   check: bool = True) -> tuple[list[np.ndarray], dict]:
+    """Single-site matrices and the correlations, from one pass over the marginals.
+
+    Pair marginals are skipped without `with_pairs`, for O alone. `check`
+    rejects a density that is not Hermitian, unit-trace and positive.
+    """
     n = state.shape.nsites
-    return [_entropy_matrix(_marginal(state, (i,))) for i in range(n)]
+    reds = [_marginal(state, (i,)) for i in range(n)]
+    pairs = {}
+    if with_pairs:
+        if n < 2:
+            raise ValueError("pairwise measures require at least 2 subsystems")
+        pairs = {ij: _entropy_matrix(_marginal(state, ij)) for ij in combinations(range(n), 2)}
+    singles = [_entropy_matrix(red) for red in reds]
+    return reds, _correlations(singles, pairs, _whole_entropy(state, check))
+
+
+def _direct(state: State, name: str, check: bool = True) -> float:
+    """Direct value of M, O, S or MW from one marginal pass."""
+    if name != "MW":
+        return _marginal_pass(state, name != "O", check)[1][name]
+    if check and isinstance(state, DensityMatrix):
+        _require_density(state)
+    return _linear_entropy_sum(_marginal(state, (i,)) for i in range(state.shape.nsites))
 
 
 def measure_M(state: State) -> float:
     """Sum of the pairwise probe over all unordered subsystem pairs."""
-    n = state.shape.nsites
-    if n < 2:
-        raise ValueError("pairwise measure requires at least 2 subsystems")
-    singles = _single_entropies(state)
-    total = 0.0
-    for i, j in combinations(range(n), 2):
-        s_ij = _entropy_matrix(_marginal(state, (i, j)))
-        total += 0.5 * (singles[i] + singles[j] - s_ij)
-    return total
+    return _direct(state, "M")
 
 
 def measure_O(state: State) -> float:
     """Global correlations: (sum_i S(rho_i) - S(rho)) / 2."""
-    return 0.5 * (sum(_single_entropies(state)) - von_neumann_entropy(state))
+    return _direct(state, "O")
 
 
 def measure_S(state: State) -> float:
     """Combined total-correlation measure (O + M)/2."""
-    return 0.5 * (measure_O(state) + measure_M(state))
+    return _direct(state, "S")
 
 
 def measure_MW(state: State) -> float:
     """Sum of single-site linear entropies."""
-    total = 0.0
-    for i in range(state.shape.nsites):
-        red = _marginal(state, (i,))
-        total += 1.0 - float(np.real(np.trace(red @ red)))
-    return total
+    return _direct(state, "MW")
 
 
 def bipartite_correlation(state: State, part: Iterable[int]) -> float:
@@ -226,21 +263,11 @@ def ssa_check(rho: State) -> float:
     return s_xy + s_yz - s_y - von_neumann_entropy(rho)
 
 
-DIRECT_MEASURES = {
-    "M": measure_M,
-    "O": measure_O,
-    "S": measure_S,
-    "MW": measure_MW,
-}
-
-
 def direct_measure(state: State, name: str) -> float:
     """Direct value of a named measure (M, O, S or MW) on a state."""
-    try:
-        fn = DIRECT_MEASURES[name]
-    except KeyError:
-        raise ValueError(f"unknown measure {name!r}; choose from {sorted(DIRECT_MEASURES)}")
-    return fn(state)
+    if name not in ("M", "O", "S", "MW"):
+        raise ValueError(f"unknown measure {name!r}; choose from ['M', 'MW', 'O', 'S']")
+    return _direct(state, name)
 
 
 @dataclass(frozen=True)
@@ -263,24 +290,15 @@ def measure_report(state: State) -> MeasureReport:
     Bounds use the largest local dimension, which stays an upper bound
     for mixed-dimension registers.
     """
-    n = state.shape.nsites
-    if n < 2:
-        raise ValueError("report requires at least 2 subsystems")
-    singles = _single_entropies(state)
-    pair_values = {}
-    for i, j in combinations(range(n), 2):
-        s_ij = _entropy_matrix(_marginal(state, (i, j)))
-        pair_values[(i, j)] = 0.5 * (singles[i] + singles[j] - s_ij)
-    m_val = sum(pair_values.values())
-    o_val = 0.5 * (sum(singles) - von_neumann_entropy(state))
-    d = max(state.shape.dims)
+    reds, corr = _marginal_pass(state)
+    n, d = state.shape.nsites, max(state.shape.dims)
     return MeasureReport(
         shape=state.shape,
-        pair_values=pair_values,
-        O=o_val,
-        M=m_val,
-        S=0.5 * (o_val + m_val),
-        MW=measure_MW(state),
+        pair_values=corr["P"],
+        O=corr["O"],
+        M=corr["M"],
+        S=corr["S"],
+        MW=_linear_entropy_sum(reds),
         bound_M=bound_M(n, d),
         bound_S=bound_S(n, d),
     )

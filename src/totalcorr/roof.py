@@ -16,10 +16,9 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
-from .core import DensityMatrix, RegisterShape, ResourceLimitError, partial_trace_matrix
-from .measures import EIG_CLAMP, _entropy_matrix, direct_measure
+from .core import DensityMatrix, RegisterShape, ResourceLimitError, _require_density
+from .measures import EIG_CLAMP, _correlations, _direct, direct_measure
 from .states import Ensemble, PureState, State, as_density, flagged_mixture
 
 RANK_TOL = 1e-10
@@ -48,6 +47,8 @@ class RoofConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.strategy not in STRATEGIES:
@@ -89,7 +90,9 @@ def _eigen_rows(rho: DensityMatrix, r: int) -> np.ndarray:
 
 
 def _numerical_rank(rho: DensityMatrix) -> int:
+    """Rank of rho, which must be a valid density matrix."""
     lam = np.linalg.eigvalsh(rho.matrix)
+    _require_density(rho, lam)
     return max(1, int(np.count_nonzero(lam > RANK_TOL)))
 
 
@@ -104,16 +107,22 @@ def ensemble_from_isometry(rho: DensityMatrix, V: np.ndarray) -> Ensemble:
         raise ValueError(f"V is not an isometry (max |V^dag V - I| = {dev:.3e})")
     if r < _numerical_rank(rho):
         raise ValueError("isometry has fewer columns than the rank of rho")
-    W = V @ _eigen_rows(rho, r)
-    weights, members = [], []
+    return _ensemble(_row_members(rho.shape, V @ _eigen_rows(rho, r)))
+
+
+def _row_members(shape: RegisterShape, W: np.ndarray):
+    """(weight, normalized row) of each row of W that carries weight."""
     for row in W:
         p = float(np.real(np.vdot(row, row)))
-        if p < WEIGHT_DROP:
-            continue
-        weights.append(p)
-        members.append(PureState(rho.shape, row / math.sqrt(p)))
+        if p >= WEIGHT_DROP:
+            yield p, PureState(shape, row / math.sqrt(p))
+
+
+def _ensemble(members) -> Ensemble:
+    """Ensemble of (weight, state) pairs, the weights rescaled to sum to 1."""
+    weights, states = zip(*members)
     total = sum(weights)
-    return Ensemble(tuple(wt / total for wt in weights), tuple(members))
+    return Ensemble(tuple(wt / total for wt in weights), states)
 
 
 # --- batched objective -------------------------------------------------
@@ -175,51 +184,20 @@ def _pure_values(W: np.ndarray, dims: tuple[int, ...], measure: str) -> np.ndarr
         flat = t.reshape(m, dk, -1)
         return np.einsum("mir,mjr->mij", flat, flat.conj())
 
+    reds = [marg((i,)) for i in range(n)]
     if measure == "MW":
         val = np.zeros(m)
-        for i in range(n):
-            vals = _batch_eigs(marg((i,)))
-            purity = (vals ** 2).sum(axis=1) / np.maximum(p, 1e-300) ** 2
+        for red in reds:
+            purity = (_batch_eigs(red) ** 2).sum(axis=1) / np.maximum(p, 1e-300) ** 2
             val += np.where(p > 1e-14, 1.0 - purity, 0.0)
         return p * val
-
-    singles = [_eigs_entropies(_batch_eigs(marg((i,))), p) for i in range(n)]
-    o_val = 0.5 * sum(singles)
-    if measure == "O":
-        return p * o_val
-    m_val = np.zeros(m)
-    for i, j in combinations(range(n), 2):
-        if n == 2:
-            s_ij = 0.0  # the pair marginal is the whole pure member
-        else:
-            s_ij = _eigs_entropies(_batch_eigs(marg((i, j))), p)
-        m_val += 0.5 * (singles[i] + singles[j] - s_ij)
-    if measure == "M":
-        return p * m_val
-    return p * 0.5 * (o_val + m_val)  # S
-
-
-def _measure_matrix(mat: np.ndarray, dims: tuple[int, ...], measure: str) -> float:
-    """Direct measure of a normalized raw density matrix."""
-    n = len(dims)
-    if measure == "MW":
-        total = 0.0
-        for i in range(n):
-            red = partial_trace_matrix(mat, dims, (i,))
-            total += 1.0 - float(np.real(np.trace(red @ red)))
-        return total
-    singles = [_entropy_matrix(partial_trace_matrix(mat, dims, (i,))) for i in range(n)]
-    s_all = _entropy_matrix(mat)
-    o_val = 0.5 * (sum(singles) - s_all)
-    if measure == "O":
-        return o_val
-    m_val = 0.0
-    for i, j in combinations(range(n), 2):
-        s_ij = _entropy_matrix(partial_trace_matrix(mat, dims, (i, j)))
-        m_val += 0.5 * (singles[i] + singles[j] - s_ij)
-    if measure == "M":
-        return m_val
-    return 0.5 * (o_val + m_val)
+    pairs = {}
+    if measure != "O":
+        for i, j in combinations(range(n), 2):
+            # with two sites the pair marginal is the whole pure member
+            pairs[i, j] = 0.0 if n == 2 else _eigs_entropies(_batch_eigs(marg((i, j))), p)
+    singles = [_eigs_entropies(_batch_eigs(red), p) for red in reds]
+    return p * _correlations(singles, pairs, 0.0)[measure]
 
 
 def _chunks(m: int, k: int) -> list[list[int]]:
@@ -232,20 +210,26 @@ def _chunks(m: int, k: int) -> list[list[int]]:
     return out
 
 
+def _chunk_mixtures(shape: RegisterShape, W: np.ndarray, k: int, min_weight: float):
+    """(weight, normalized mixture) of each of k contiguous row chunks of W."""
+    for chunk in _chunks(W.shape[0], k):
+        rho = W[chunk].T @ W[chunk].conj()
+        pg = float(np.real(np.trace(rho)))
+        if pg >= min_weight:
+            yield pg, DensityMatrix(shape, rho / pg)
+
+
 def _mixed_total(W: np.ndarray, dims: tuple[int, ...], measure: str) -> tuple[float, int]:
     """Objective over member groupings: best (value, k) over k = 1..m chunkings."""
     m = W.shape[0]
+    shape = RegisterShape(dims)
     best_val = float(_pure_values(W, dims, measure).sum())
     best_k = m
     for k in range(1, m):
         total = 0.0
-        for chunk in _chunks(m, k):
-            Wg = W[chunk]
-            rho = Wg.T @ Wg.conj()
-            pg = float(np.real(np.trace(rho)))
-            if pg < 1e-14:
-                continue
-            total += pg * _measure_matrix(rho / pg, dims, measure)
+        for pg, rho in _chunk_mixtures(shape, W, k, 1e-14):
+            # a mixture of the rows is a density by construction: not validated in the loop
+            total += pg * _direct(rho, measure, check=False)
         if total < best_val:
             best_val, best_k = total, k
     return best_val, best_k
@@ -342,9 +326,11 @@ def _gradient_step(obj: _PureObjective, pairs) -> float:
     if gnorm < 1e-12:
         return 0.0
     step = 1.0 / gnorm
+    # G is anti-Hermitian: exp(step G) = U exp(-i step w) U^dag for iG = U diag(w) U^dag
+    w, U = np.linalg.eigh(1j * G)
     W0, c0, t0 = obj.W.copy(), obj.c.copy(), obj.total
     for _ in range(30):
-        obj.apply_unitary(expm(step * G))
+        obj.apply_unitary((U * np.exp(-1j * step * w)) @ U.conj().T)
         if obj.total < t0 - 1e-15:
             return t0 - obj.total
         obj.W, obj.c, obj.total = W0.copy(), c0.copy(), t0
@@ -426,36 +412,6 @@ def _optimize_restart_mixed(A, dims, measure, m, rng, cfg: RoofConfig):
     return total, W, converged
 
 
-def _ensemble_from_rows(shape: RegisterShape, W: np.ndarray) -> Ensemble:
-    weights, members = [], []
-    for row in W:
-        p = float(np.real(np.vdot(row, row)))
-        if p < WEIGHT_DROP:
-            continue
-        weights.append(p)
-        members.append(PureState(shape, row / math.sqrt(p)))
-    total = sum(weights)
-    return Ensemble(tuple(wt / total for wt in weights), tuple(members))
-
-
-def _grouped_ensemble(shape: RegisterShape, W: np.ndarray, measure: str) -> Ensemble:
-    dims = shape.dims
-    _, best_k = _mixed_total(W, dims, measure)
-    if best_k == W.shape[0]:
-        return _ensemble_from_rows(shape, W)
-    weights, members = [], []
-    for chunk in _chunks(W.shape[0], best_k):
-        Wg = W[chunk]
-        rho = Wg.T @ Wg.conj()
-        pg = float(np.real(np.trace(rho)))
-        if pg < WEIGHT_DROP:
-            continue
-        weights.append(pg)
-        members.append(DensityMatrix(shape, rho / pg))
-    total = sum(weights)
-    return Ensemble(tuple(wt / total for wt in weights), tuple(members))
-
-
 def roof_minimize(rho: State, measure: str, config: RoofConfig | None = None) -> RoofResult:
     """Minimize the ensemble-averaged measure over decompositions of rho.
 
@@ -500,10 +456,12 @@ def roof_minimize(rho: State, measure: str, config: RoofConfig | None = None) ->
             best = (float(value), W, converged)
 
     _, best_w, best_conv = best
-    if cfg.strategy == "pure_roof":
-        ensemble = _ensemble_from_rows(shape, best_w)
-    else:
-        ensemble = _grouped_ensemble(shape, best_w, measure)
+    members = _row_members(shape, best_w)
+    if cfg.strategy == "mixed_roof":
+        _, best_k = _mixed_total(best_w, shape.dims, measure)
+        if best_k < m:
+            members = _chunk_mixtures(shape, best_w, best_k, WEIGHT_DROP)
+    ensemble = _ensemble(members)
     final = sum(
         p * direct_measure(member, measure)
         for p, member in zip(ensemble.weights, ensemble.members)

@@ -7,11 +7,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .core import DensityMatrix, RegisterShape, _frozen_complex, partial_trace_matrix
+from .core import DensityMatrix, RegisterShape, _frozen_complex, _require_density
 
 NORM_TOL = 1e-10
 
@@ -152,6 +152,56 @@ def product(states: Sequence[PureState]) -> PureState:
     return PureState(RegisterShape(tuple(dims)), amps)
 
 
+def epr_power(n: int) -> PureState:
+    """EPR^{(x)(n/2)} for even n."""
+    if n < 2 or n % 2:
+        raise ValueError("epr_power requires an even n >= 2")
+    return product([epr()] * (n // 2))
+
+
+class Family(NamedTuple):
+    """A named state family: its constructor and the sizes n it has members for."""
+
+    build: Callable[[int, float | None], PureState]
+    min_n: int
+    max_n: int | None = None
+    even_only: bool = False
+    parametric: bool = False
+
+    def allows(self, n: int) -> bool:
+        return (n >= self.min_n and (self.max_n is None or n <= self.max_n)
+                and not (self.even_only and n % 2))
+
+
+# The builders look the constructors up when called, so a constructor
+# replaced on this module (by a profiler, say) is the one that runs.
+FAMILIES = {
+    "cluster": Family(lambda n, x: cluster(n), 4, even_only=True),
+    "epr": Family(lambda n, x: epr(), 2, max_n=2),
+    "epr_power": Family(lambda n, x: epr_power(n), 2, even_only=True),
+    "family1": Family(lambda n, x: family1(x, n), 3, parametric=True),
+    "family2": Family(lambda n, x: family2(x, n), 3, parametric=True),
+    "ghz": Family(lambda n, x: ghz(n), 2),
+    "w": Family(lambda n, x: w(n), 2),
+    "wbar": Family(lambda n, x: wbar(n), 2),
+}
+
+
+def family_state(name: str, n: int | None = None, x: float | None = None) -> PureState:
+    """The n-site member of a named family, at parameter x for a parametric one.
+
+    n may be left out for a family with a single size.
+    """
+    fam = FAMILIES[name]
+    if n is None and fam.min_n == fam.max_n:
+        n = fam.min_n
+    if n is None:
+        raise ValueError(f"state family {name} requires n")
+    if fam.parametric and x is None:
+        raise ValueError(f"state family {name} requires x")
+    return fam.build(n, x)
+
+
 def dm(psi: PureState) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi|."""
     return DensityMatrix(psi.shape, np.outer(psi.amplitudes, psi.amplitudes.conj()))
@@ -233,5 +283,7 @@ def load_state(path) -> State:
         return PureState(shape, amps)
     if "matrix" in doc:
         mat = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
-        return DensityMatrix(shape, mat)
+        rho = DensityMatrix(shape, mat)
+        _require_density(rho)
+        return rho
     raise ValueError("state file must contain 'amplitudes' or 'matrix'")

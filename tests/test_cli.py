@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from totalcorr import RegisterShape, random_pure, save_state
+from totalcorr import DensityMatrix, RegisterShape, random_pure, save_state
 from totalcorr.cli import main
 
 
@@ -68,6 +69,15 @@ class TestMeasureCommand:
         code, _, _ = run(capsys, "measure", "--file", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["measure", "roof"])
+    def test_invalid_density_file_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "rho.json"
+        save_state(DensityMatrix(RegisterShape((2, 2)), np.diag([0.7, 0.5, -0.1, -0.1])), path)
+        code, out, err = run(capsys, command, "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "negative eigenvalue" in err
+
 
 class TestSweepCommand:
     def test_header_and_values(self, capsys):
@@ -93,6 +103,25 @@ class TestSweepCommand:
         assert code == 0
         lines = out.strip().split("\n")[1:]
         assert [line.split(",")[2] for line in lines] == ["0.00", "0.50", "1.00"]
+
+    def x_column(self, capsys, *grid):
+        code, out, err = run(
+            capsys, "sweep", "--family", "family1", "--n-range", "3:3", "--x-grid", *grid
+        )
+        return code, [line.split(",")[2] for line in out.strip().split("\n")[1:] if line]
+
+    def test_default_grid(self, capsys):
+        code, xs = self.x_column(capsys, "0:1:0.05")
+        assert code == 0
+        assert xs == [f"{k / 20:.2f}" for k in range(21)]
+
+    def test_single_point_grid(self, capsys):
+        assert self.x_column(capsys, "0.5") == (0, ["0.50"])
+
+    @pytest.mark.parametrize("grid", ["0:1", "a:1:0.5", "0:1:0", "0:2:0.5", "0:0.01:0.001"])
+    def test_bad_grid_is_usage_error(self, capsys, grid):
+        code, xs = self.x_column(capsys, grid)
+        assert (code, xs) == (2, [])
 
     def test_no_ghz_norm(self, capsys):
         _, out, _ = run(

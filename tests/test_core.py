@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import totalcorr
 from totalcorr import (
     DensityMatrix,
     RegisterShape,
@@ -191,3 +196,12 @@ class TestValidateDensity:
         assert vals.min() >= -1e-10
         assert vals.max() <= 1 + 1e-10
         assert abs(vals.sum() - 1) < 1e-9
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(totalcorr.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import totalcorr; "
+            "print('scipy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == "False"

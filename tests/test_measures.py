@@ -57,6 +57,8 @@ def random_qubit(seed):
 
 
 EPR2 = product([epr(), epr()])
+# unit trace and Hermitian, but two negative eigenvalues
+NOT_PSD = DensityMatrix(qubits(2), np.diag([0.7, 0.5, -0.1, -0.1]))
 
 
 class TestEntropies:
@@ -305,3 +307,38 @@ class TestMeasureReport:
         assert rep.S == pytest.approx(2.5, abs=1e-9)
         assert rep.bound_M == pytest.approx(3.0)
         assert all(v == pytest.approx(0.5, abs=1e-9) for v in rep.pair_values.values())
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("fn", [
+        measure_M, measure_O, measure_S, measure_MW, measure_report,
+        von_neumann_entropy, linear_entropy, lambda rho: pairwise_probe(rho, 0, 1),
+    ])
+    def test_negative_eigenvalue_rejected(self, fn):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            fn(NOT_PSD)
+
+    def test_trace_and_hermiticity_rejected(self):
+        with pytest.raises(ValueError, match="trace"):
+            measure_M(DensityMatrix(qubits(2), np.eye(4) / 2))
+        skew = np.eye(4) / 4
+        skew[0, 1] = 0.1
+        with pytest.raises(ValueError, match="Hermitian"):
+            measure_S(DensityMatrix(qubits(2), skew))
+
+
+STATES = [random_pure(qubits(n), seed=60 + n) for n in (2, 3, 5)] + [
+    random_density(qubits(n), rank, seed=70 + n) for n, rank in ((2, 3), (3, 2), (4, 5))
+]
+
+
+class TestReportAgreesWithMeasures:
+    @pytest.mark.parametrize("state", STATES)
+    def test_fields_equal_direct_measures(self, state):
+        rep = measure_report(state)
+        assert rep.O == measure_O(state)
+        assert rep.M == measure_M(state)
+        assert rep.S == measure_S(state)
+        assert rep.MW == measure_MW(state)
+        for (i, j), value in rep.pair_values.items():
+            assert value == pairwise_probe(state, i, j)

@@ -24,6 +24,7 @@ from totalcorr import (
 )
 from totalcorr.core import ResourceLimitError, partial_trace
 from totalcorr.measures import direct_measure
+from totalcorr.roof import _pure_values
 from totalcorr.states import PureState
 
 Q2 = RegisterShape((2, 2))
@@ -149,6 +150,13 @@ class TestRoofMinimize:
             RoofConfig(restarts=0)
         with pytest.raises(ValueError):
             RoofConfig(strategy="annealing")
+        with pytest.raises(ValueError):
+            RoofConfig(max_iterations=0)
+
+    def test_rejects_invalid_density(self):
+        not_psd = DensityMatrix(Q2, np.diag([0.7, 0.5, -0.1, -0.1]))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            roof_minimize(not_psd, "M", RoofConfig(restarts=2))
 
 
 class TestAgainstFormationOracle:
@@ -208,3 +216,18 @@ class TestDerivedChecks:
             dm(epr()), classically_correlated(), "M", RoofConfig(restarts=6, seed=8)
         )
         assert abs(gap) < 5e-3
+
+
+class TestBatchedObjective:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("measure", ["M", "O", "S", "MW"])
+    def test_rows_match_direct_measure(self, dims, measure):
+        d = int(np.prod(dims))
+        rng = np.random.default_rng(len(dims))
+        W = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
+        W *= rng.uniform(0.1, 2.0, size=(6, 1))  # rows of unequal weight
+        got = _pure_values(W, dims, measure)
+        for k, row in enumerate(W):
+            p = float(np.vdot(row, row).real)
+            member = PureState(RegisterShape(dims), row / np.sqrt(p))
+            assert got[k] == pytest.approx(p * direct_measure(member, measure), abs=1e-12)

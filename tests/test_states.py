@@ -25,7 +25,7 @@ from totalcorr import (
     w,
     wbar,
 )
-from totalcorr.states import PureState
+from totalcorr.states import FAMILIES, PureState, epr_power, family_state
 
 Q1 = RegisterShape((2,))
 KET0 = PureState(Q1, np.array([1.0, 0.0], dtype=complex))
@@ -200,6 +200,29 @@ class TestGhzMarginals:
             assert np.max(np.abs(partial_trace(rho, pair).matrix - target)) < 1e-12
 
 
+class TestFamilyRegistry:
+    def test_members_match_constructors(self):
+        assert np.array_equal(family_state("ghz", 4).amplitudes, ghz(4).amplitudes)
+        assert np.array_equal(family_state("family2", 5, 0.3).amplitudes,
+                              family2(0.3, 5).amplitudes)
+        assert np.array_equal(family_state("epr_power", 4).amplitudes,
+                              product([epr(), epr()]).amplitudes)
+        assert np.array_equal(family_state("epr").amplitudes, epr().amplitudes)
+
+    def test_sizes(self):
+        assert [n for n in range(1, 9) if FAMILIES["cluster"].allows(n)] == [4, 6, 8]
+        assert [n for n in range(1, 5) if FAMILIES["epr"].allows(n)] == [2]
+        assert [n for n in range(1, 5) if FAMILIES["family1"].allows(n)] == [3, 4]
+
+    def test_missing_arguments(self):
+        with pytest.raises(ValueError):
+            family_state("ghz")
+        with pytest.raises(ValueError):
+            family_state("family1", 4)
+        with pytest.raises(ValueError):
+            epr_power(3)
+
+
 class TestStateFiles:
     def test_pure_roundtrip(self, tmp_path):
         psi = random_pure(RegisterShape((2, 3)), seed=9)
@@ -217,6 +240,12 @@ class TestStateFiles:
         loaded = load_state(path)
         assert isinstance(loaded, DensityMatrix)
         assert np.max(np.abs(loaded.matrix - rho.matrix)) < 1e-14
+
+    def test_rejects_invalid_density(self, tmp_path):
+        path = tmp_path / "rho.json"
+        save_state(DensityMatrix(RegisterShape((2, 2)), np.diag([0.7, 0.5, -0.1, -0.1])), path)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            load_state(path)
 
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.json"
