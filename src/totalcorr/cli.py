@@ -247,25 +247,34 @@ def _verify_flags(suite: _Suite, seed: int, trials: int) -> None:
 
 
 def _verify_pcrc(suite: _Suite, seed: int, trials: int) -> None:
+    # gap = direct - roof. Half the mutual information can sit below the
+    # formation value, so a converged negative gap whose roof matches the
+    # closed-form formation value is a certified finding; only an
+    # uncertified one points at the optimizer and fails the suite.
     cfg = roof.RoofConfig(restarts=8, seed=seed)
     worst = np.inf
-    bad = None
+    findings = 0
     for k in range(trials):
         rho = states.random_density(_qubits(2), rank=2, seed=seed + k)
-        direct = measures.measure_M(rho)
         res = roof.roof_minimize(rho, "M", cfg)
-        gap = direct - res.value
-        if gap < worst:
-            worst = gap
-            bad = (rho, res.converged)
-        # only a converged negative gap is a genuine counterexample
+        gap = measures.measure_M(rho) - res.value
+        worst = min(worst, gap)
         if gap < -1e-6 and res.converged:
-            suite.check(
-                "pcrc", False, f"converged negative gap {gap:.3e} at trial {k}",
-                {"trial": k, "seed": seed + k},
-            )
-            return
-    suite.check("pcrc", True, f"min gap {worst:.3e} over {trials} two-qubit mixtures")
+            eof = roof.eof_two_qubit(rho)
+            if abs(res.value - eof) > 5e-3:
+                suite.check(
+                    "pcrc", False,
+                    f"converged negative gap {gap:.3e} at trial {k}, "
+                    f"roof {res.value:.6f} against formation {eof:.6f}",
+                    {"trial": k, "seed": seed + k},
+                )
+                return
+            findings += 1
+    suite.check(
+        "pcrc", True,
+        f"min gap {worst:.3e} over {trials} two-qubit mixtures, "
+        f"{findings} certified negative-gap findings",
+    )
 
 
 def _verify_form2(suite: _Suite, seed: int, trials: int) -> None:
@@ -289,8 +298,11 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     fn, default_trials = SUITES[args.suite]
+    trials = args.trials if args.trials is not None else default_trials
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
     suite = _Suite()
-    fn(suite, args.seed, args.trials if args.trials is not None else default_trials)
+    fn(suite, args.seed, trials)
     return suite.finish()
 
 

@@ -1,15 +1,17 @@
 """Convex-roof extension of the pure-state measures to mixed states.
 
 The minimization runs over decompositions generated by m x r isometries
-acting on the eigen-ensemble of the state (ensemble steering). Each
-restart performs greedy complex plane rotations on pairs of ensemble
-members, then polishes with numeric-gradient descent on the isometry
-manifold with step halving. Restart seeds derive deterministically from
-the base seed, so results are reproducible.
+acting on the eigen-ensemble of the state (ensemble steering). The pure
+roof runs Riemannian conjugate gradient on the isometry, driven by the
+closed-form gradient of the members' marginal entropies; the mixed roof
+searches complex plane rotations on pairs of members, grouped into
+mixtures. Restart seeds derive deterministically from the base seed, so
+results are reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -32,8 +34,12 @@ STRATEGIES = ("pure_roof", "mixed_roof")
 class RoofConfig:
     """Knobs for the decomposition search.
 
-    ensemble_size defaults to r^2 where r is the rank of the input;
-    tolerance is the objective-change stopping threshold.
+    ensemble_size defaults to r^2 where r is the rank of the input.
+    For the pure roof, max_iterations counts line searches, and a restart
+    stops converged once a line search lowers the ensemble average by
+    less than tolerance or the average drops below it. For the mixed roof
+    an iteration is one sweep of pair rotations, and tolerance is the
+    sweep gain under which the rotation angle shrinks.
     """
 
     ensemble_size: int | None = None
@@ -49,8 +55,10 @@ class RoofConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if self.ensemble_size is not None and self.ensemble_size < 1:
+            raise ValueError("ensemble_size must be >= 1")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be positive and finite")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
 
@@ -127,77 +135,68 @@ def _ensemble(members) -> Ensemble:
 
 # --- batched objective -------------------------------------------------
 
-def _batch_eigs(rhos: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a batch of small Hermitian matrices; closed form for 2x2."""
-    if rhos.shape[-1] == 2:
-        tr = np.real(rhos[:, 0, 0] + rhos[:, 1, 1])
-        det = np.real(rhos[:, 0, 0] * rhos[:, 1, 1]) - np.abs(rhos[:, 0, 1]) ** 2
-        disc = np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None))
-        return np.stack([(tr - disc) / 2.0, (tr + disc) / 2.0], axis=1)
-    return np.linalg.eigvalsh(rhos)
+@functools.cache
+def _cuts(dims: tuple[int, ...], measure: str) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """(kept sites, coefficient) of each marginal term of the pure-member measure.
 
-
-def _eigs_entropies(vals: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Entropies from eigenvalues of p-unnormalized reduced matrices."""
-    lam = np.clip(vals / np.maximum(p, 1e-300)[:, None], 0.0, None)
-    safe = lam > EIG_CLAMP
-    ent = -np.where(safe, lam * np.log2(np.where(safe, lam, 1.0)), 0.0).sum(axis=1)
-    return np.where(p > 1e-14, ent, 0.0)
-
-
-def _pure_values_two_qubit(W: np.ndarray, measure: str) -> np.ndarray:
-    """Two-qubit fast path.
-
-    For a pure two-qubit member both marginals share one spectrum, so
-    M = O = S = S(rho_A) and MW = 2(1 - Tr rho_A^2), all closed-form in
-    the 2x2 reshape of the amplitude row.
+    The entropy coefficients come from `_correlations` fed with unit
+    vectors. A pure member has S(K) = S(K-bar) and Tr rho_K^2 = Tr rho_K-bar^2,
+    so each term is moved to the side of its cut with the smaller
+    dimension (ties to the lexicographically smaller set), terms on one
+    cut are merged, and a cut with an empty side drops out.
     """
-    r00, r01, r10, r11 = W[:, 0], W[:, 1], W[:, 2], W[:, 3]
-    p = (np.abs(r00) ** 2 + np.abs(r01) ** 2 + np.abs(r10) ** 2 + np.abs(r11) ** 2)
-    det2 = np.abs(r00 * r11 - r01 * r10) ** 2
-    ps = np.maximum(p, 1e-300)
-    disc = np.sqrt(np.maximum(p * p - 4.0 * det2, 0.0))
-    lo = np.maximum((p - disc) / (2.0 * ps), 0.0)
-    hi = np.maximum((p + disc) / (2.0 * ps), 1e-300)
-    if measure == "MW":
-        val = 2.0 * (1.0 - lo * lo - hi * hi)
-    else:
-        safe_lo = lo > EIG_CLAMP
-        val = -hi * np.log2(hi) - np.where(
-            safe_lo, lo * np.log2(np.where(safe_lo, lo, 1.0)), 0.0
-        )
-    return np.where(p > 1e-14, p * val, 0.0)
-
-
-def _pure_values(W: np.ndarray, dims: tuple[int, ...], measure: str) -> np.ndarray:
-    """Weighted contributions p_j * T(psi_j) for unnormalized member rows W."""
-    if dims == (2, 2):
-        return _pure_values_two_qubit(W, measure)
-    m = W.shape[0]
     n = len(dims)
-    p = np.einsum("md,md->m", W, W.conj()).real
-    T = W.reshape((m,) + dims)
-
-    def marg(keep):
-        t = np.moveaxis(T, [k + 1 for k in keep], range(1, len(keep) + 1))
-        dk = math.prod(dims[k] for k in keep)
-        flat = t.reshape(m, dk, -1)
-        return np.einsum("mir,mjr->mij", flat, flat.conj())
-
-    reds = [marg((i,)) for i in range(n)]
+    singles = [(i,) for i in range(n)]
     if measure == "MW":
-        val = np.zeros(m)
-        for red in reds:
-            purity = (_batch_eigs(red) ** 2).sum(axis=1) / np.maximum(p, 1e-300) ** 2
-            val += np.where(p > 1e-14, 1.0 - purity, 0.0)
-        return p * val
-    pairs = {}
-    if measure != "O":
-        for i, j in combinations(range(n), 2):
-            # with two sites the pair marginal is the whole pure member
-            pairs[i, j] = 0.0 if n == 2 else _eigs_entropies(_batch_eigs(marg((i, j))), p)
-    singles = [_eigs_entropies(_batch_eigs(red), p) for red in reds]
-    return p * _correlations(singles, pairs, 0.0)[measure]
+        terms = [(keep, 1.0) for keep in singles]
+    else:
+        pairs = list(combinations(range(n), 2))
+        basis = np.eye(n + len(pairs))
+        coef = _correlations(basis[:n], dict(zip(pairs, basis[n:])), 0.0)[measure]
+        terms = zip(singles + pairs, coef)
+    merged: dict[tuple[int, ...], float] = {}
+    for keep, c in terms:
+        rest = tuple(i for i in range(n) if i not in keep)
+        side = min(keep, rest, key=lambda s: (math.prod(dims[i] for i in s), s))
+        if side and c:
+            merged[side] = merged.get(side, 0.0) + float(c)
+    return tuple(merged.items())
+
+
+def _pure_values(W: np.ndarray, dims: tuple[int, ...],
+                 measure: str) -> tuple[np.ndarray, np.ndarray]:
+    """Contributions p_j * T(psi_j) of the unnormalized member rows W, and
+    the gradient of their sum with respect to conj(W).
+
+    An entropy term p S(rho_K / p) has gradient -(log2(rho_K / p) x 1) w,
+    with log 0 on eigenvalues under EIG_CLAMP; a linear-entropy term
+    p - Tr(rho_K^2) / p has gradient w - (2 rho_K w - Tr(rho_K^2) w / p) / p.
+    """
+    m = W.shape[0]
+    p = np.einsum("md,md->m", W, W.conj()).real
+    live = p > 1e-14
+    ps = np.where(live, p, 1.0)[:, None, None]
+    T = W.reshape((m,) + dims)
+    values = np.zeros(m)
+    grad = np.zeros_like(T)
+    for keep, coef in _cuts(dims, measure):
+        axes, front = [k + 1 for k in keep], list(range(1, len(keep) + 1))
+        moved = np.moveaxis(T, axes, front)
+        flat = moved.reshape(m, math.prod(dims[k] for k in keep), -1)
+        rho = flat @ flat.conj().transpose(0, 2, 1)
+        if measure == "MW":
+            purity = (np.abs(rho) ** 2).sum(axis=(1, 2))[:, None, None] / ps**2
+            values += coef * p * (1.0 - purity[:, 0, 0])
+            g = (1.0 + purity) * flat - 2.0 * (rho @ flat) / ps
+        else:
+            lam, U = np.linalg.eigh(rho)
+            lam = np.clip(lam / ps[:, 0], 0.0, None)
+            safe = lam > EIG_CLAMP
+            logs = np.where(safe, np.log2(np.where(safe, lam, 1.0)), 0.0)
+            values -= coef * p * (lam * logs).sum(axis=1)
+            g = -((U * logs[:, None, :]) @ (U.conj().transpose(0, 2, 1) @ flat))
+        grad += coef * np.moveaxis(g.reshape(moved.shape), front, axes)
+    return np.where(live, values, 0.0), grad.reshape(m, -1)
 
 
 def _chunks(m: int, k: int) -> list[list[int]]:
@@ -223,7 +222,7 @@ def _mixed_total(W: np.ndarray, dims: tuple[int, ...], measure: str) -> tuple[fl
     """Objective over member groupings: best (value, k) over k = 1..m chunkings."""
     m = W.shape[0]
     shape = RegisterShape(dims)
-    best_val = float(_pure_values(W, dims, measure).sum())
+    best_val = float(_pure_values(W, dims, measure)[0].sum())
     best_k = m
     for k in range(1, m):
         total = 0.0
@@ -237,7 +236,6 @@ def _mixed_total(W: np.ndarray, dims: tuple[int, ...], measure: str) -> tuple[fl
 
 # --- optimizer ---------------------------------------------------------
 
-_THETA_FRACTIONS = (1.0, -1.0, 0.35, -0.35)
 _PHIS = (0.0, math.pi / 2)
 
 
@@ -247,130 +245,58 @@ def _rotated_rows(wa: np.ndarray, wb: np.ndarray, theta: float, phi: float):
     return c * wa + ph * s * wb, -np.conj(ph) * s * wa + c * wb
 
 
-def _rotation_coefficients(params):
-    """(cos, phase*sin) column vectors for a list of (theta, phi) candidates."""
-    theta = np.array([t for t, _ in params])
-    phase = np.exp(1j * np.array([f for _, f in params]))
-    return np.cos(theta)[:, None], (phase * np.sin(theta))[:, None]
+def _retract(X: np.ndarray) -> np.ndarray:
+    """Q of X = QR with the phases fixed so that R has a positive diagonal."""
+    Q, R = np.linalg.qr(X)
+    d = np.diagonal(R)
+    return Q * (d / np.abs(d))
 
 
-def _candidate_rows(wa, wb, coeffs):
-    c, ps = coeffs
-    rows = np.empty((2 * c.shape[0], wa.shape[0]), dtype=complex)
-    rows[0::2] = c * wa + ps * wb
-    rows[1::2] = -np.conj(ps) * wa + c * wb
-    return rows
-
-
-class _PureObjective:
-    """Incremental evaluation: a pair rotation only touches two member rows."""
-
-    def __init__(self, W: np.ndarray, dims: tuple[int, ...], measure: str):
-        self.W = W
-        self.dims = dims
-        self.measure = measure
-        self.c = _pure_values(W, dims, measure)
-        self.total = float(self.c.sum())
-
-    def pair_step(self, a: int, b: int, coeffs) -> float:
-        rows = _candidate_rows(self.W[a], self.W[b], coeffs)
-        vals = _pure_values(rows, self.dims, self.measure)
-        base = self.total - self.c[a] - self.c[b]
-        cand = base + vals[0::2] + vals[1::2]
-        k = int(np.argmin(cand))
-        gain = self.total - float(cand[k])
-        if gain <= 0.0:
-            return 0.0
-        self.W[a], self.W[b] = rows[2 * k], rows[2 * k + 1]
-        self.c[a], self.c[b] = vals[2 * k], vals[2 * k + 1]
-        self.total = float(cand[k])
-        return gain
-
-    def pair_gradients(self, pairs, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """Central-difference slopes along both plane-rotation generators,
-        batched over all pairs in one objective evaluation."""
-        a_idx = np.array([a for a, _ in pairs])
-        b_idx = np.array([b for _, b in pairs])
-        wa, wb = self.W[a_idx], self.W[b_idx]
-        c, s = math.cos(h), math.sin(h)
-        # candidate order per pair: (+h,0), (-h,0), (+h,pi/2), (-h,pi/2)
-        phases = (1.0, 1.0, 1.0j, 1.0j)
-        signs = (1.0, -1.0, 1.0, -1.0)
-        rows = np.empty((len(pairs), 8, wa.shape[1]), dtype=complex)
-        for k, (ph, sg) in enumerate(zip(phases, signs)):
-            rows[:, 2 * k] = c * wa + ph * sg * s * wb
-            rows[:, 2 * k + 1] = -np.conj(ph) * sg * s * wa + c * wb
-        vals = _pure_values(rows.reshape(-1, wa.shape[1]), self.dims, self.measure)
-        vals = vals.reshape(len(pairs), 8)
-        f = vals[:, 0::2] + vals[:, 1::2]  # per-pair candidate sums
-        g0 = (f[:, 0] - f[:, 1]) / (2 * h)
-        g1 = (f[:, 2] - f[:, 3]) / (2 * h)
-        return g0, g1
-
-    def apply_unitary(self, U: np.ndarray) -> None:
-        self.W = U @ self.W
-        self.c = _pure_values(self.W, self.dims, self.measure)
-        self.total = float(self.c.sum())
-
-
-def _gradient_step(obj: _PureObjective, pairs) -> float:
-    """One step of numeric-gradient descent on the member-mixing unitary."""
-    m = obj.W.shape[0]
-    g0, g1 = obj.pair_gradients(pairs, 1e-5)
-    G = np.zeros((m, m), dtype=complex)
-    for (a, b), ga, gb in zip(pairs, g0, g1):
-        # generators: K0 = E_ab - E_ba, K1 = i(E_ab + E_ba)
-        G[a, b] += -ga - 1j * gb
-        G[b, a] += ga - 1j * gb
-    gnorm = float(np.linalg.norm(G))
-    if gnorm < 1e-12:
-        return 0.0
-    step = 1.0 / gnorm
-    # G is anti-Hermitian: exp(step G) = U exp(-i step w) U^dag for iG = U diag(w) U^dag
-    w, U = np.linalg.eigh(1j * G)
-    W0, c0, t0 = obj.W.copy(), obj.c.copy(), obj.total
-    for _ in range(30):
-        obj.apply_unitary((U * np.exp(-1j * step * w)) @ U.conj().T)
-        if obj.total < t0 - 1e-15:
-            return t0 - obj.total
-        obj.W, obj.c, obj.total = W0.copy(), c0.copy(), t0
-        step *= 0.5
-    return 0.0
+def _project(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """X projected onto the tangent space of the isometries at V."""
+    B = V.conj().T @ X
+    return X - V @ (0.5 * (B + B.conj().T))
 
 
 def _optimize_restart_pure(A, dims, measure, m, rng, cfg: RoofConfig):
-    """One restart: rotation sweeps, then gradient polish. An iteration is
-    one full sweep over member pairs (or one gradient step)."""
+    """One restart: Riemannian Polak-Ribiere+ conjugate gradient on the m x r
+    isometry V, with members W = V A. An iteration is one Armijo line search
+    along the retraction; it stops, converged, once a step gains less than
+    the tolerance or the total drops below it."""
     r = A.shape[0]
-    X = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-    V, _ = np.linalg.qr(X)
-    obj = _PureObjective(V @ A, dims, measure)
-    pairs = list(combinations(range(m), 2))
+
+    def evaluate(V):
+        vals, G = _pure_values(V @ A, dims, measure)
+        return float(vals.sum()), _project(V, G @ A.conj().T)
+
+    V = _retract(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))
+    total, grad = evaluate(V)
+    direction = -grad
+    step = 1.0
+    converged = total < cfg.tolerance
     iters = 0
-    scale = math.pi / 4
-    prev_gain = math.inf
-    converged = False
-    while iters < cfg.max_iterations and scale > 1e-2:
+    while not converged and iters < cfg.max_iterations:
         iters += 1
-        sweep_gain = 0.0
-        coeffs = _rotation_coefficients(
-            [(scale * f, phi) for f in _THETA_FRACTIONS for phi in _PHIS]
-        )
-        for idx in rng.permutation(len(pairs)):
-            a, b = pairs[idx]
-            sweep_gain += obj.pair_step(a, b, coeffs)
-        if obj.total < cfg.tolerance:
-            return obj.total, obj.W, True
-        if sweep_gain < max(cfg.tolerance, 0.25 * prev_gain):
-            scale *= 0.4
-        prev_gain = sweep_gain
-    while iters < cfg.max_iterations:
-        iters += 1
-        gain = _gradient_step(obj, pairs)
-        if gain < cfg.tolerance:
-            converged = True
-            break
-    return obj.total, obj.W, converged
+        # the derivative of the total along a direction d is 2 Re <grad, d>
+        slope = 2.0 * np.vdot(grad, direction).real
+        if slope >= 0.0:
+            direction = -grad
+            slope = -2.0 * np.vdot(grad, grad).real
+        for _ in range(60):  # 60 halvings shrink the step by a factor of 1e18
+            V_new = _retract(V + step * direction)
+            total_new, grad_new = evaluate(V_new)
+            if total_new < total + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            return total, V @ A, True  # no step decreases the total: stationary
+        carried = _project(V_new, grad)
+        beta = max(0.0, np.vdot(grad_new, grad_new - carried).real / np.vdot(grad, grad).real)
+        direction = -grad_new + beta * _project(V_new, direction)
+        converged = total - total_new < cfg.tolerance or total_new < cfg.tolerance
+        V, total, grad = V_new, total_new, grad_new
+        step *= 2.0
+    return total, V @ A, converged
 
 
 def _optimize_restart_mixed(A, dims, measure, m, rng, cfg: RoofConfig):

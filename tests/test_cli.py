@@ -189,6 +189,21 @@ class TestVerifyCommand:
         assert code == 0
         assert out.startswith("PASS pcrc")
 
+    def test_pcrc_default_trials_certify_negative_gap(self, capsys):
+        # state seed 17 has a converged negative gap that the formation value certifies
+        code, out, _ = run(capsys, "verify", "pcrc", "--seed", "0")
+        assert code == 0
+        assert out.startswith("PASS pcrc")
+        assert "over 20 two-qubit mixtures" in out
+        assert "1 certified negative-gap findings" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_rejects_trials_below_one(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "entropy", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert "--trials" in err
+
     def test_flags_small_sample(self, capsys):
         code, out, _ = run(capsys, "verify", "flags", "--trials", "1")
         assert code == 0

@@ -24,7 +24,7 @@ from totalcorr import (
 )
 from totalcorr.core import ResourceLimitError, partial_trace
 from totalcorr.measures import direct_measure
-from totalcorr.roof import _pure_values
+from totalcorr.roof import _cuts, _pure_values
 from totalcorr.states import PureState
 
 Q2 = RegisterShape((2, 2))
@@ -152,6 +152,11 @@ class TestRoofMinimize:
             RoofConfig(strategy="annealing")
         with pytest.raises(ValueError):
             RoofConfig(max_iterations=0)
+        with pytest.raises(ValueError):
+            RoofConfig(ensemble_size=0)
+        for tolerance in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                RoofConfig(tolerance=tolerance)
 
     def test_rejects_invalid_density(self):
         not_psd = DensityMatrix(Q2, np.diag([0.7, 0.5, -0.1, -0.1]))
@@ -219,15 +224,49 @@ class TestDerivedChecks:
 
 
 class TestBatchedObjective:
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 2, 2, 2)])
+    # (2, 3) and (3, 2, 2) have cuts of unequal sides, taken on the smaller one
+    DIMS = [(2, 2), (2, 2, 2), (2, 2, 2, 2), (2, 3), (3, 2, 2)]
+
+    @staticmethod
+    def rows(dims, seed):
+        d = int(np.prod(dims))
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
+        return W * rng.uniform(0.1, 2.0, size=(6, 1))  # rows of unequal weight
+
+    @pytest.mark.parametrize("dims", DIMS)
     @pytest.mark.parametrize("measure", ["M", "O", "S", "MW"])
     def test_rows_match_direct_measure(self, dims, measure):
-        d = int(np.prod(dims))
-        rng = np.random.default_rng(len(dims))
-        W = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
-        W *= rng.uniform(0.1, 2.0, size=(6, 1))  # rows of unequal weight
-        got = _pure_values(W, dims, measure)
+        W = self.rows(dims, len(dims))
+        got, _ = _pure_values(W, dims, measure)
         for k, row in enumerate(W):
             p = float(np.vdot(row, row).real)
             member = PureState(RegisterShape(dims), row / np.sqrt(p))
             assert got[k] == pytest.approx(p * direct_measure(member, measure), abs=1e-12)
+
+    def test_each_term_on_the_smaller_side_of_its_cut(self):
+        # S(K) = S(K-bar) for a pure member: two qubits need one marginal,
+        # three subsystems three, and equal-size ties go to the smaller set
+        assert _cuts((2, 2), "M") == (((0,), 1.0),)
+        assert _cuts((2, 2), "MW") == (((0,), 2.0),)
+        assert _cuts((2, 3), "O") == (((0,), 1.0),)
+        assert _cuts((3, 2, 2), "S") == (((0,), 0.5), ((1,), 0.5), ((2,), 0.5))
+        assert [keep for keep, _ in _cuts((2, 2, 2, 2), "M")] == [
+            (0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3)
+        ]
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 3), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("measure", ["M", "O", "S", "MW"])
+    def test_gradient_matches_central_differences(self, dims, measure):
+        # G is the gradient with respect to conj(W), so the slope of the
+        # total along a direction E is 2 Re <G, E>
+        W = self.rows(dims, 100 + len(dims))
+        _, G = _pure_values(W, dims, measure)
+        rng = np.random.default_rng(7)
+        h = 1e-5
+        for _ in range(3):
+            E = rng.standard_normal(W.shape) + 1j * rng.standard_normal(W.shape)
+            plus = _pure_values(W + h * E, dims, measure)[0].sum()
+            minus = _pure_values(W - h * E, dims, measure)[0].sum()
+            slope = 2 * np.vdot(G, E).real
+            assert (plus - minus) / (2 * h) == pytest.approx(slope, rel=1e-6)
