@@ -199,16 +199,23 @@ def subset_correlation_sum(state: State) -> float:
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Tr rho (log2 rho - log2 sigma); requires supp(rho) within supp(sigma)."""
+    """Tr rho (log2 rho - log2 sigma); requires supp(rho) within supp(sigma).
+
+    Both arguments must be density matrices; each is validated on the
+    spectrum computed here anyway.
+    """
     if rho.shape != sigma.shape:
         raise ValueError("states must share one register shape")
     svals, svecs = np.linalg.eigh(sigma.matrix)
+    _require_density(sigma, svals)
+    rvals = np.linalg.eigvalsh(rho.matrix)
+    _require_density(rho, rvals)
     on_support = svals > SUPPORT_TOL
     overlaps = np.real(np.einsum("ik,ij,jk->k", svecs.conj(), rho.matrix, svecs))
     leak = float(overlaps[~on_support].sum())
     if leak > SUPPORT_TOL:
         raise SupportError(f"support violation: weight {leak:.3e} outside supp(sigma)")
-    tr_rho_log_rho = -_entropy_matrix(rho.matrix)
+    tr_rho_log_rho = -_entropy_of_eigenvalues(rvals)
     tr_rho_log_sigma = float((overlaps[on_support] * np.log2(svals[on_support])).sum())
     return tr_rho_log_rho - tr_rho_log_sigma
 

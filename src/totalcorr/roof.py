@@ -3,10 +3,14 @@
 The minimization runs over decompositions generated by m x r isometries
 acting on the eigen-ensemble of the state (ensemble steering). The pure
 roof runs Riemannian conjugate gradient on the isometry, driven by the
-closed-form gradient of the members' marginal entropies; the mixed roof
-searches complex plane rotations on pairs of members, grouped into
-mixtures. Restart seeds derive deterministically from the base seed, so
-results are reproducible.
+closed-form gradient of the members' marginal entropies. Its restarts run
+in lock step as one batch on a leading axis: each objective evaluation
+covers the member rows of every restart still searching, in consecutive
+groups of restarts of at most ROW_BUDGET rows, so memory grows with
+restarts x members x dimension up to that budget. The mixed roof searches
+complex plane rotations on pairs of members, grouped into mixtures, one
+restart after another. Restart k is seeded base seed + k whether it runs
+alone or in a batch, so results are bit-identical for a fixed config.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ from .states import Ensemble, PureState, State, as_density, flagged_mixture
 
 RANK_TOL = 1e-10
 WEIGHT_DROP = 1e-12
+# rows of one batched pure-roof evaluation: the restarts of an m-member
+# roof run in groups of ROW_BUDGET // m (at least one); the objective's
+# cost per row is flat from a few hundred rows on
+ROW_BUDGET = 2**12
 
 MEASURE_NAMES = ("M", "O", "S", "MW")
 STRATEGIES = ("pure_roof", "mixed_roof")
@@ -246,56 +254,94 @@ def _rotated_rows(wa: np.ndarray, wb: np.ndarray, theta: float, phi: float):
 
 
 def _retract(X: np.ndarray) -> np.ndarray:
-    """Q of X = QR with the phases fixed so that R has a positive diagonal."""
+    """Q of each X = QR with the phases fixed so that R has a positive diagonal."""
     Q, R = np.linalg.qr(X)
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
 
 
 def _project(V: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """X projected onto the tangent space of the isometries at V."""
-    B = V.conj().T @ X
-    return X - V @ (0.5 * (B + B.conj().T))
+    """Each X projected onto the tangent space of the isometries at V."""
+    B = V.conj().swapaxes(-1, -2) @ X
+    return X - V @ (0.5 * (B + B.conj().swapaxes(-1, -2)))
 
 
-def _optimize_restart_pure(A, dims, measure, m, rng, cfg: RoofConfig):
-    """One restart: Riemannian Polak-Ribiere+ conjugate gradient on the m x r
-    isometry V, with members W = V A. An iteration is one Armijo line search
-    along the retraction; it stops, converged, once a step gains less than
-    the tolerance or the total drops below it."""
-    r = A.shape[0]
+def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Re <X[k], Y[k]> of each pair in two stacks of matrices.
+
+    A stacked row-times-column product reduces each pair on its own, so a
+    restart's numbers do not depend on the rest of its batch; with
+    OpenBLAS it also sums in the order np.vdot takes on one pair.
+    """
+    k, n = len(X), math.prod(X.shape[1:])
+    return (X.conj().reshape(k, 1, n) @ Y.reshape(k, n, 1))[:, 0, 0].real
+
+
+def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig):
+    """Restarts seeded by `seeds`, run in lock step: Riemannian Polak-Ribiere+
+    conjugate gradient on a stack of m x r isometries V[k], with members
+    W = V[k] A. An iteration is one Armijo line search along the retraction;
+    a restart stops, converged, once a step gains less than the tolerance or
+    the total drops below it, and leaves the batch. Each evaluation is one
+    `_pure_values` call on the rows of the restarts still searching, and
+    every restart takes the steps it would take alone.
+
+    Returns the totals, the member rows V[k] A and the converged flags.
+    """
+    r, d = A.shape
+    A_dag = A.conj().T
 
     def evaluate(V):
-        vals, G = _pure_values(V @ A, dims, measure)
-        return float(vals.sum()), _project(V, G @ A.conj().T)
+        vals, G = _pure_values((V @ A).reshape(-1, d), dims, measure)
+        return vals.reshape(len(V), m).sum(axis=1), _project(V, G.reshape(len(V), m, d) @ A_dag)
 
-    V = _retract(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))
+    def start_line_search(idx):
+        # the derivative of the total along a direction D is 2 Re <grad, D>
+        iters[idx] += 1
+        halvings[idx] = 0
+        slope[idx] = 2.0 * _inner(grad[idx], direction[idx])
+        reset = idx[slope[idx] >= 0.0]
+        direction[reset] = -grad[reset]
+        slope[reset] = -2.0 * _inner(grad[reset], grad[reset])
+
+    starts = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        starts.append(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))
+    V = _retract(np.stack(starts))
     total, grad = evaluate(V)
     direction = -grad
-    step = 1.0
+    step = np.ones(len(V))
+    slope = np.zeros(len(V))
+    iters = np.zeros(len(V), dtype=int)
+    halvings = np.zeros(len(V), dtype=int)
     converged = total < cfg.tolerance
-    iters = 0
-    while not converged and iters < cfg.max_iterations:
-        iters += 1
-        # the derivative of the total along a direction d is 2 Re <grad, d>
-        slope = 2.0 * np.vdot(grad, direction).real
-        if slope >= 0.0:
-            direction = -grad
-            slope = -2.0 * np.vdot(grad, grad).real
-        for _ in range(60):  # 60 halvings shrink the step by a factor of 1e18
-            V_new = _retract(V + step * direction)
-            total_new, grad_new = evaluate(V_new)
-            if total_new < total + 1e-4 * step * slope:
-                break
-            step *= 0.5
-        else:
-            return total, V @ A, True  # no step decreases the total: stationary
-        carried = _project(V_new, grad)
-        beta = max(0.0, np.vdot(grad_new, grad_new - carried).real / np.vdot(grad, grad).real)
-        direction = -grad_new + beta * _project(V_new, direction)
-        converged = total - total_new < cfg.tolerance or total_new < cfg.tolerance
-        V, total, grad = V_new, total_new, grad_new
-        step *= 2.0
+    searching = np.flatnonzero(~converged)
+    start_line_search(searching)
+    while searching.size:
+        idx = searching
+        V_new = _retract(V[idx] + step[idx, None, None] * direction[idx])
+        total_new, grad_new = evaluate(V_new)
+        ok = total_new < total[idx] + 1e-4 * step[idx] * slope[idx]
+
+        failed = idx[~ok]
+        step[failed] *= 0.5
+        halvings[failed] += 1
+        # 60 halvings shrink the step by a factor of 1e18: no step decreases
+        # the total, so the restart is stationary
+        stuck = halvings[failed] == 60
+        converged[failed[stuck]] = True
+
+        acc, V_acc, total_acc, grad_acc = idx[ok], V_new[ok], total_new[ok], grad_new[ok]
+        carried = _project(V_acc, grad[acc])
+        beta = np.maximum(0.0, _inner(grad_acc, grad_acc - carried) / _inner(grad[acc], grad[acc]))
+        direction[acc] = -grad_acc + beta[:, None, None] * _project(V_acc, direction[acc])
+        converged[acc] = (total[acc] - total_acc < cfg.tolerance) | (total_acc < cfg.tolerance)
+        V[acc], total[acc], grad[acc] = V_acc, total_acc, grad_acc
+        step[acc] *= 2.0
+        going = acc[~converged[acc] & (iters[acc] < cfg.max_iterations)]
+        start_line_search(going)
+        searching = np.sort(np.concatenate([failed[~stuck], going]))
     return total, V @ A, converged
 
 
@@ -343,8 +389,9 @@ def roof_minimize(rho: State, measure: str, config: RoofConfig | None = None) ->
 
     Returns an upper bound on the true convex roof; the reported value is
     exactly the ensemble average of the returned decomposition. Restarts
-    are seeded as base seed + restart index, so the result is
-    deterministic for a fixed config.
+    are seeded as base seed + restart index, and a pure-roof restart takes
+    the same steps in a batch as alone, so the result is deterministic for
+    a fixed config.
     """
     if measure not in MEASURE_NAMES:
         raise ValueError(f"measure must be one of {MEASURE_NAMES}")
@@ -370,16 +417,26 @@ def roof_minimize(rho: State, measure: str, config: RoofConfig | None = None) ->
     if m < r:
         raise ValueError(f"ensemble_size must be >= rank ({r}), got {m}")
     A = _eigen_rows(rho, r)
-    optimize = _optimize_restart_pure if cfg.strategy == "pure_roof" else _optimize_restart_mixed
+    seeds = [cfg.seed + k for k in range(cfg.restarts)]
+    if cfg.strategy == "pure_roof":
+        group = max(1, ROW_BUDGET // m)
+        runs = (
+            run
+            for g in range(0, len(seeds), group)
+            for run in zip(*_optimize_pure(A, shape.dims, measure, m, seeds[g:g + group], cfg))
+        )
+    else:
+        runs = (
+            _optimize_restart_mixed(A, shape.dims, measure, m, np.random.default_rng(seed), cfg)
+            for seed in seeds
+        )
 
     per_restart = []
     best = None
-    for rr in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + rr)
-        value, W, converged = optimize(A, shape.dims, measure, m, rng, cfg)
+    for value, W, converged in runs:
         per_restart.append(float(value))
         if best is None or value < best[0]:
-            best = (float(value), W, converged)
+            best = (float(value), W, bool(converged))
 
     _, best_w, best_conv = best
     members = _row_members(shape, best_w)

@@ -184,8 +184,23 @@ class TestRelativeEntropy:
         with pytest.raises(SupportError):
             relative_entropy(dm(epr()), dm(product([random_qubit(1), random_qubit(2)])))
 
+    @pytest.mark.parametrize("bad_arg", [0, 1])
+    def test_rejects_invalid_density_in_either_argument(self, bad_arg):
+        # diag(1.2, -0.2) has unit trace; before validation it gave 1.3156
+        # as rho and a SupportError as sigma
+        args = [DensityMatrix(qubits(1), np.eye(2) / 2)] * 2
+        args[bad_arg] = DensityMatrix(qubits(1), np.diag([1.2, -0.2]))
+        with pytest.raises(ValueError, match="invalid density matrix") as err:
+            relative_entropy(*args)
+        assert not isinstance(err.value, SupportError)
+
 
 class TestForm2:
+    def test_rejects_invalid_density(self):
+        not_psd = DensityMatrix(qubits(2), np.diag([0.7, 0.5, -0.1, -0.1]))
+        with pytest.raises(ValueError, match="invalid density matrix"):
+            measure_S_form2(not_psd)
+
     def test_ghz3(self):
         assert measure_S_form2(ghz(3)) == pytest.approx(1.5, abs=1e-8)
 

@@ -22,6 +22,7 @@ from totalcorr import (
     roof_additivity_gap,
     roof_minimize,
 )
+from totalcorr import roof
 from totalcorr.core import ResourceLimitError, partial_trace
 from totalcorr.measures import direct_measure
 from totalcorr.roof import _cuts, _pure_values
@@ -162,6 +163,53 @@ class TestRoofMinimize:
         not_psd = DensityMatrix(Q2, np.diag([0.7, 0.5, -0.1, -0.1]))
         with pytest.raises(ValueError, match="negative eigenvalue"):
             roof_minimize(not_psd, "M", RoofConfig(restarts=2))
+
+
+class TestBatchedRestarts:
+    # restart k of a batch must take exactly the steps it takes alone with
+    # seed base + k; the cases cover an entropy measure on each cut layout
+    CASES = [((2, 2), 4, "M"), ((2, 2, 2), 2, "S"), ((2, 3), 3, "O")]
+
+    @pytest.mark.parametrize("dims, rank, measure", CASES)
+    @pytest.mark.parametrize("seed", [0, 21])
+    # converged restarts can meet at one minimum from different paths, so
+    # restarts cut off after three line searches show the path itself
+    @pytest.mark.parametrize("max_iterations", [3, 2000])
+    def test_restarts_in_one_batch_do_not_couple(self, dims, rank, measure, seed,
+                                                 max_iterations):
+        rho = random_density(RegisterShape(dims), rank, seed=50 + rank)
+        batch = roof_minimize(rho, measure, RoofConfig(
+            restarts=6, seed=seed, max_iterations=max_iterations))
+        assert len(batch.per_restart_values) == 6
+        for k, value in enumerate(batch.per_restart_values):
+            alone = roof_minimize(rho, measure, RoofConfig(
+                restarts=1, seed=seed + k, max_iterations=max_iterations))
+            assert value == pytest.approx(alone.value, abs=1e-9)
+
+    def test_groups_under_the_row_budget_give_the_same_restarts(self, monkeypatch):
+        rho = random_density(Q2, 2, seed=51)  # four members per restart
+        cfg = RoofConfig(restarts=5, seed=9)
+        whole = roof_minimize(rho, "M", cfg)
+        for budget in (8, 1):  # groups of two restarts, then one at a time
+            monkeypatch.setattr(roof, "ROW_BUDGET", budget)
+            split = roof_minimize(rho, "M", cfg)
+            assert split.per_restart_values == whole.per_restart_values
+            assert split.value == whole.value
+
+    def test_max_iterations_counts_line_searches_per_restart(self):
+        # every accepted line search lowers a restart's total, so each
+        # restart's value falls strictly with each line search allowed, on a
+        # state whose restarts need many more; a cap that counted objective
+        # evaluations would stop a restart that backtracked one search early
+        rho = random_density(Q2, 4, seed=20_000)
+        runs = [
+            roof_minimize(rho, "M", RoofConfig(restarts=4, seed=3, max_iterations=it))
+            for it in (1, 2, 3, 4, 5, 2000)
+        ]
+        assert not runs[0].converged
+        assert runs[-1].converged
+        for values in zip(*(run.per_restart_values for run in runs)):
+            assert all(later < earlier for earlier, later in zip(values, values[1:]))
 
 
 class TestAgainstFormationOracle:
