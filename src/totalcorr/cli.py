@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from . import measures, roof, states
-from .core import RegisterShape, ResourceLimitError
+from .core import RegisterShape, ResourceLimitError, partial_trace
 from .states import PureState
 
 SWEEP_HEADER = "family,n,x,O,M,S,MW,O_rel,M_rel,S_rel"
@@ -167,9 +168,11 @@ class _Suite:
     def __init__(self):
         self.lines: list[str] = []
         self.failed: list[dict] = []
+        self.start = time.monotonic()
 
     def check(self, name: str, ok: bool, detail: str, instance: dict | None = None):
-        self.lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        elapsed = time.monotonic() - self.start
+        self.lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({elapsed:.2f} s)")
         if not ok:
             self.failed.append({"check": name, "detail": detail, **(instance or {})})
 
@@ -223,13 +226,7 @@ def _verify_additivity(suite: _Suite, seed: int, trials: int) -> None:
     for k in range(trials):
         psi = states.random_pure(_qubits(4), seed=seed + 10_000 + k)
         rho = states.dm(psi)
-        shape2 = _qubits(2)
-        left = measures.measure_S(
-            states.DensityMatrix(shape2, measures._marginal(rho, (0, 1)))
-        )
-        right = measures.measure_S(
-            states.DensityMatrix(shape2, measures._marginal(rho, (2, 3)))
-        )
+        left, right = (measures.measure_S(partial_trace(rho, keep)) for keep in ((0, 1), (2, 3)))
         worst_ssa = min(worst_ssa, measures.measure_S(psi) - left - right)
     suite.check("pure-ssa", worst_ssa >= -1e-8, f"min S(rho)-S(12)-S(34) = {worst_ssa:.3e}")
 

@@ -32,14 +32,23 @@ SUPPORT_TOL = 1e-10
 SUBSET_SUM_MAX_SITES = 12
 
 
-def _entropy_of_eigenvalues(vals: np.ndarray) -> float:
-    vals = np.asarray(vals, dtype=float)
-    vals = vals[vals > EIG_CLAMP]
-    return float(-(vals * np.log2(vals)).sum()) if vals.size else 0.0
+def _entropy(spectra: np.ndarray) -> np.ndarray:
+    """Entropy of each spectrum along the last axis; eigenvalues at or below
+    EIG_CLAMP contribute 0."""
+    lam = np.asarray(spectra, dtype=float)
+    lam = np.where(lam > EIG_CLAMP, lam, 1.0)
+    return -(lam * np.log2(lam)).sum(axis=-1)
 
 
-def _entropy_matrix(mat: np.ndarray) -> float:
-    return _entropy_of_eigenvalues(np.linalg.eigvalsh(mat))
+def _entropies(mats: Sequence[np.ndarray]) -> list[float]:
+    """Entropy of each Hermitian matrix; one eigvalsh per stack of equal size."""
+    out = [0.0] * len(mats)
+    for size in {len(mat) for mat in mats}:
+        ks = [k for k, mat in enumerate(mats) if len(mat) == size]
+        spectra = np.linalg.eigvalsh(np.stack([mats[k] for k in ks]))
+        for k, value in zip(ks, _entropy(spectra).tolist()):
+            out[k] = value
+    return out
 
 
 def _marginal(state: State, keep: Iterable[int]) -> np.ndarray:
@@ -56,7 +65,7 @@ def _whole_entropy(state: State, check: bool = True) -> float:
     spectrum = np.linalg.eigvalsh(state.matrix)
     if check:
         _require_density(state, spectrum)
-    return _entropy_of_eigenvalues(spectrum)
+    return float(_entropy(spectrum))
 
 
 def von_neumann_entropy(rho: State) -> float:
@@ -82,9 +91,7 @@ def mutual_information(state: State, a: Iterable[int], b: Iterable[int]) -> floa
         raise ValueError(f"index sets overlap: {a} and {b}")
     if isinstance(state, DensityMatrix):
         _require_density(state)
-    s_a = _entropy_matrix(_marginal(state, a))
-    s_b = _entropy_matrix(_marginal(state, b))
-    s_ab = _entropy_matrix(_marginal(state, a + b))
+    s_a, s_b, s_ab = _entropies([_marginal(state, k) for k in (a, b, a + b)])
     return s_a + s_b - s_ab
 
 
@@ -126,14 +133,15 @@ def _marginal_pass(state: State, with_pairs: bool = True,
     rejects a density that is not Hermitian, unit-trace and positive.
     """
     n = state.shape.nsites
-    reds = [_marginal(state, (i,)) for i in range(n)]
-    pairs = {}
+    subsets = [(i,) for i in range(n)]
     if with_pairs:
         if n < 2:
             raise ValueError("pairwise measures require at least 2 subsystems")
-        pairs = {ij: _entropy_matrix(_marginal(state, ij)) for ij in combinations(range(n), 2)}
-    singles = [_entropy_matrix(red) for red in reds]
-    return reds, _correlations(singles, pairs, _whole_entropy(state, check))
+        subsets += combinations(range(n), 2)
+    reds = [_marginal(state, keep) for keep in subsets]
+    entropies = _entropies(reds)
+    pairs = dict(zip(subsets[n:], entropies[n:]))
+    return reds[:n], _correlations(entropies[:n], pairs, _whole_entropy(state, check))
 
 
 def _direct(state: State, name: str, check: bool = True) -> float:
@@ -172,8 +180,7 @@ def bipartite_correlation(state: State, part: Iterable[int]) -> float:
     rest = tuple(i for i in range(n) if i not in set(part))
     if not part or not rest:
         raise ValueError("bipartition must be proper and non-empty")
-    s_p = _entropy_matrix(_marginal(state, part))
-    s_r = _entropy_matrix(_marginal(state, rest))
+    s_p, s_r = _entropies([_marginal(state, part), _marginal(state, rest)])
     return s_p + s_r - von_neumann_entropy(state)
 
 
@@ -215,9 +222,8 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     leak = float(overlaps[~on_support].sum())
     if leak > SUPPORT_TOL:
         raise SupportError(f"support violation: weight {leak:.3e} outside supp(sigma)")
-    tr_rho_log_rho = -_entropy_of_eigenvalues(rvals)
     tr_rho_log_sigma = float((overlaps[on_support] * np.log2(svals[on_support])).sum())
-    return tr_rho_log_rho - tr_rho_log_sigma
+    return -float(_entropy(rvals)) - tr_rho_log_sigma
 
 
 def measure_S_form2(state: State) -> float:
@@ -264,9 +270,7 @@ def ssa_check(rho: State) -> float:
     """
     if rho.shape.nsites != 3:
         raise ValueError("ssa_check requires exactly 3 subsystems")
-    s_xy = _entropy_matrix(_marginal(rho, (0, 1)))
-    s_yz = _entropy_matrix(_marginal(rho, (1, 2)))
-    s_y = _entropy_matrix(_marginal(rho, (1,)))
+    s_xy, s_yz, s_y = _entropies([_marginal(rho, k) for k in ((0, 1), (1, 2), (1,))])
     return s_xy + s_yz - s_y - von_neumann_entropy(rho)
 
 

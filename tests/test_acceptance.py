@@ -231,22 +231,28 @@ class TestAcceptance:
         support, so the roof is the convex envelope of the pure measure
         evaluated at the state's Bloch vector; a linear program over a
         dense sphere grid computes it independently of the optimizer.
+        A pure three-qubit member has S(ij) = S(k), so its M is half the
+        sum of its single-site entropies; the whole grid is evaluated at
+        once here, without the package's measures.
         """
         from scipy.optimize import linprog
 
-        from totalcorr.states import PureState
-
         lam, vecs = np.linalg.eigh(rho.matrix)
         v1, v2 = vecs[:, -1], vecs[:, -2]
-        values, bloch = [], []
-        for t in np.linspace(0.0, np.pi / 2, 41):
-            for ph in np.linspace(0.0, 2 * np.pi, 48, endpoint=False):
-                amp = np.cos(t) * v1 + np.exp(1j * ph) * np.sin(t) * v2
-                values.append(measure_M(PureState(rho.shape, amp)))
-                bloch.append(
-                    (np.sin(2 * t) * np.cos(ph), np.sin(2 * t) * np.sin(ph), np.cos(2 * t))
-                )
-        A_eq = np.vstack([np.array(bloch).T, np.ones(len(values))])
+        t, ph = (g.ravel() for g in np.meshgrid(
+            np.linspace(0.0, np.pi / 2, 41), np.linspace(0.0, 2 * np.pi, 48, endpoint=False),
+            indexing="ij",
+        ))
+        amps = np.cos(t)[:, None] * v1 + (np.exp(1j * ph) * np.sin(t))[:, None] * v2
+        members = amps.reshape(-1, 2, 2, 2)
+        values = np.zeros(len(amps))
+        for site in range(3):
+            flat = np.moveaxis(members, site + 1, 1).reshape(-1, 2, 4)
+            spectra = np.linalg.eigvalsh(flat @ flat.conj().transpose(0, 2, 1))
+            spectra = np.where(spectra > 1e-12, spectra, 1.0)
+            values -= 0.5 * (spectra * np.log2(spectra)).sum(axis=1)
+        bloch = [np.sin(2 * t) * np.cos(ph), np.sin(2 * t) * np.sin(ph), np.cos(2 * t)]
+        A_eq = np.vstack([*bloch, np.ones(len(values))])
         b_eq = np.array([0.0, 0.0, lam[-1] - lam[-2], 1.0])
         lp = linprog(values, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
         return float(lp.fun)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,14 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "--trials" in err
+
+    def test_lines_end_with_elapsed_time(self, capsys):
+        code, out, _ = run(capsys, "verify", "additivity", "--trials", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["PASS pure-additivity", "PASS pure-ssa"]
+        times = [float(re.fullmatch(r".* \((\d+\.\d\d) s\)", line).group(1)) for line in lines]
+        assert 0.0 <= times[0] <= times[1]
 
     def test_flags_small_sample(self, capsys):
         code, out, _ = run(capsys, "verify", "flags", "--trials", "1")

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from totalcorr import (
     pure_marginal,
     validate_density,
 )
+from totalcorr.core import partial_trace_matrix
 from totalcorr.states import dm, epr, ghz, random_density, random_pure
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -140,6 +142,19 @@ class TestPartialTrace:
     def test_invalid_index(self):
         with pytest.raises(ValueError):
             partial_trace(dm(epr()), {2})
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 2)])
+    def test_every_keep_against_loop_oracle(self, dims):
+        # a general complex matrix, so that rows and columns cannot be confused
+        rng = np.random.default_rng(len(dims))
+        d = int(np.prod(dims))
+        mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        n = len(dims)
+        keeps = [k for size in range(1, n + 1) for k in combinations(range(n), size)]
+        assert (0, 2) in keeps and tuple(range(n)) in keeps  # non-contiguous and full keeps
+        for keep in keeps:
+            got = partial_trace_matrix(mat, dims, keep)
+            assert np.max(np.abs(got - ptrace_loops(mat, dims, keep))) < 1e-13, keep
 
     def test_pure_marginal_matches_matrix_path(self):
         psi = random_pure(RegisterShape((2, 2, 2, 2)), seed=8)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from totalcorr import (
     w,
 )
 from totalcorr.core import ResourceLimitError
+from totalcorr.measures import EIG_CLAMP, _entropy
 from totalcorr.states import PureState
 
 
@@ -322,6 +324,81 @@ class TestMeasureReport:
         assert rep.S == pytest.approx(2.5, abs=1e-9)
         assert rep.bound_M == pytest.approx(3.0)
         assert all(v == pytest.approx(0.5, abs=1e-9) for v in rep.pair_values.values())
+
+
+def entropy_scalar(vals):
+    """Entropy of one spectrum, with the eigenvalues at or below EIG_CLAMP dropped."""
+    vals = np.asarray(vals, dtype=float)
+    vals = vals[vals > EIG_CLAMP]
+    return float(-(vals * np.log2(vals)).sum()) if vals.size else 0.0
+
+
+def subset_entropy(state, keep):
+    """S of one marginal: Schmidt coefficients of a pure state, or np.trace
+    over one traced subsystem at a time and eigvalsh of a density."""
+    dims = state.shape.dims
+    dk = int(np.prod([dims[i] for i in keep]))
+    if isinstance(state, PureState):
+        t = np.moveaxis(state.amplitudes.reshape(dims), keep, range(len(keep)))
+        return entropy_scalar(np.linalg.svd(t.reshape(dk, -1), compute_uv=False) ** 2)
+    t = state.matrix.reshape(dims + dims)
+    for i in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
+    return entropy_scalar(np.linalg.eigvalsh(t.reshape(dk, dk)))
+
+
+class TestMarginalLayer:
+    @pytest.mark.parametrize("state", [
+        random_pure(RegisterShape((2, 3, 4)), seed=3),
+        random_density(RegisterShape((2, 3, 4)), 3, seed=4),
+        random_density(RegisterShape((2, 2, 3, 2)), 3, seed=5),
+    ], ids=["pure", "rank3", "stacks"])
+    def test_report_against_per_subset_entropies(self, state):
+        # on (2, 3, 4) the pair marginals are 6x6, 8x8 and 12x12, each its own
+        # stack; on (2, 2, 3, 2) the stacks hold three singles and three pairs each
+        rep = measure_report(state)
+        n = state.shape.nsites
+        s = {k: subset_entropy(state, k) for size in (1, 2) for k in combinations(range(n), size)}
+        whole = 0.0
+        if not isinstance(state, PureState):
+            whole = entropy_scalar(np.linalg.eigvalsh(state.matrix))
+        pairs = {(i, j): 0.5 * (s[i,] + s[j,] - s[i, j]) for i, j in combinations(range(n), 2)}
+        o_val = 0.5 * (sum(s[i,] for i in range(n)) - whole)
+        m_val = sum(pairs.values())
+        assert set(rep.pair_values) == set(pairs)
+        for ij, value in pairs.items():
+            assert rep.pair_values[ij] == pytest.approx(value, abs=1e-14)
+        assert rep.O == pytest.approx(o_val, abs=1e-14)
+        assert rep.M == pytest.approx(m_val, abs=1e-14)
+        assert rep.S == pytest.approx(0.5 * (o_val + m_val), abs=1e-14)
+
+    def test_stacked_entropy_matches_scalar(self):
+        spectra = np.array([
+            [0.0, 0.0, 0.25, 0.75],
+            [-1e-15, EIG_CLAMP, 0.5, 0.5 - EIG_CLAMP],
+            [EIG_CLAMP / 2, 2 * EIG_CLAMP, 0.3, 0.7 - 2.5 * EIG_CLAMP],
+            [0.0, 0.0, 0.0, 1.0],
+            [-EIG_CLAMP, 0.0, EIG_CLAMP, EIG_CLAMP],
+            [0.1, 0.2, 0.3, 0.4],
+        ])
+        stacked = _entropy(spectra.reshape(2, 3, 4))
+        assert stacked.shape == (2, 3)
+        for row, value in zip(spectra, stacked.ravel()):
+            # an eigenvalue at the clamp would add 4e-11, one at twice the clamp 8e-11
+            assert value == pytest.approx(entropy_scalar(row), abs=1e-15)
+            assert float(_entropy(row)) == value
+        assert stacked[1, 1] == 0.0
+
+    def test_non_psd_density_rejected_on_mixed_register(self):
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        q = np.linalg.qr(z)[0]
+        lam = np.full(12, 0.1)
+        lam[0] = -0.1
+        bad = DensityMatrix(RegisterShape((2, 3, 2)), (q * lam) @ q.conj().T)
+        for fn in (measure_report, measure_M):
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                fn(bad)
 
 
 class TestInputValidation:
