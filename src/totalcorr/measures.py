@@ -189,6 +189,7 @@ def subset_correlation_sum(state: State) -> float:
 
     A subset and its complement describe the same bipartition; the sum runs
     over the 2^(N-1) - 1 subsets containing subsystem 0 (full set excluded).
+    S(rho) is computed, and a density validated, once for the whole sum.
     """
     n = state.shape.nsites
     if n < 2:
@@ -198,10 +199,13 @@ def subset_correlation_sum(state: State) -> float:
             f"subset sum over {2 ** (n - 1) - 1} bipartitions exceeds the "
             f"{SUBSET_SUM_MAX_SITES}-subsystem cap"
         )
+    whole = von_neumann_entropy(state)
     total = 0.0
     for mask in range(2 ** (n - 1) - 1):
         part = (0,) + tuple(i for i in range(1, n) if mask >> (i - 1) & 1)
-        total += bipartite_correlation(state, part)
+        rest = tuple(i for i in range(1, n) if not mask >> (i - 1) & 1)
+        s_p, s_r = _entropies([_marginal(state, part), _marginal(state, rest)])
+        total += s_p + s_r - whole
     return total
 
 

@@ -81,35 +81,18 @@ class RoofResult:
     converged: bool
 
 
-def purify(rho: DensityMatrix) -> PureState:
-    """Pure state on shape + ancilla whose ancilla trace reproduces rho."""
+def _eigen(rho: DensityMatrix) -> tuple[int, np.ndarray, np.ndarray]:
+    """Numerical rank, eigenvalues (descending) and eigenvectors of rho from
+    one eigh; raises unless rho is a valid density matrix."""
     lam, vecs = np.linalg.eigh(rho.matrix)
-    order = np.argsort(lam)[::-1]
-    lam, vecs = lam[order], vecs[:, order]
-    r = max(1, int(np.count_nonzero(lam > RANK_TOL)))
-    adim = max(r, 2)
-    d = rho.shape.dim
-    amps = np.zeros((d, adim), dtype=complex)
-    for k in range(r):
-        amps[:, k] = math.sqrt(max(lam[k], 0.0)) * vecs[:, k]
-    flat = amps.reshape(-1)
-    flat = flat / np.linalg.norm(flat)
-    return PureState(RegisterShape(rho.shape.dims + (adim,)), flat)
-
-
-def _eigen_rows(rho: DensityMatrix, r: int) -> np.ndarray:
-    """r x D matrix whose rows are sqrt(lambda_k) * v_k, eigenvalues descending."""
-    lam, vecs = np.linalg.eigh(rho.matrix)
-    order = np.argsort(lam)[::-1]
-    lam, vecs = lam[order[:r]], vecs[:, order[:r]]
-    return (vecs * np.sqrt(np.clip(lam, 0.0, None))).T
-
-
-def _numerical_rank(rho: DensityMatrix) -> int:
-    """Rank of rho, which must be a valid density matrix."""
-    lam = np.linalg.eigvalsh(rho.matrix)
     _require_density(rho, lam)
-    return max(1, int(np.count_nonzero(lam > RANK_TOL)))
+    order = np.argsort(lam)[::-1]
+    return max(1, int(np.count_nonzero(lam > RANK_TOL))), lam[order], vecs[:, order]
+
+
+def _eigen_rows(lam: np.ndarray, vecs: np.ndarray, r: int) -> np.ndarray:
+    """r x D matrix whose rows are sqrt(lambda_k) * v_k for the first r eigenpairs."""
+    return (vecs[:, :r] * np.sqrt(np.clip(lam[:r], 0.0, None))).T
 
 
 def ensemble_from_isometry(rho: DensityMatrix, V: np.ndarray) -> Ensemble:
@@ -121,9 +104,10 @@ def ensemble_from_isometry(rho: DensityMatrix, V: np.ndarray) -> Ensemble:
     dev = np.max(np.abs(V.conj().T @ V - np.eye(r)))
     if dev > 1e-8:
         raise ValueError(f"V is not an isometry (max |V^dag V - I| = {dev:.3e})")
-    if r < _numerical_rank(rho):
+    rank, lam, vecs = _eigen(rho)
+    if r < rank:
         raise ValueError("isometry has fewer columns than the rank of rho")
-    return _ensemble(_row_members(rho.shape, V @ _eigen_rows(rho, r)))
+    return _ensemble(_row_members(rho.shape, V @ _eigen_rows(lam, vecs, r)))
 
 
 def _row_members(shape: RegisterShape, W: np.ndarray):
@@ -171,6 +155,71 @@ def _cuts(dims: tuple[int, ...], measure: str) -> tuple[tuple[tuple[int, ...], f
     return tuple(merged.items())
 
 
+@functools.cache
+def _cut_groups(dims: tuple[int, ...], measure: str) -> tuple[tuple, ...]:
+    """The cuts of `_cuts` grouped by marginal dimension dk.
+
+    Each group is (dk, coefficients, order, inverse): row c of `order` lists
+    the basis indices with the kept sites of cut c leading, so that a member
+    row gathered by it reshapes to dk x (D / dk), and `inverse` takes the
+    gathered rows of all cuts, laid end to end, back to register order.
+    """
+    n = len(dims)
+    index = np.arange(math.prod(dims)).reshape(dims)
+    groups: dict[int, list] = {}
+    for keep, coef in _cuts(dims, measure):
+        rest = [i for i in range(n) if i not in keep]
+        order = index.transpose(list(keep) + rest).reshape(-1)
+        groups.setdefault(math.prod(dims[k] for k in keep), []).append((coef, order))
+    out = []
+    for dk, cuts in groups.items():
+        coefs, orders = np.array([c for c, _ in cuts]), np.stack([o for _, o in cuts])
+        inverse = (np.argsort(orders, axis=1) + index.size * np.arange(len(cuts))[:, None]).ravel()
+        for arr in (coefs, orders, inverse):
+            arr.setflags(write=False)
+        out.append((dk, coefs, orders, inverse))
+    return tuple(out)
+
+
+def _log2_clamped(lam: np.ndarray) -> np.ndarray:
+    """log2 of each eigenvalue, and 0 for those at or below EIG_CLAMP."""
+    safe = lam > EIG_CLAMP
+    return np.where(safe, np.log2(np.where(safe, lam, 1.0)), 0.0)
+
+
+def _qubit_entropy_terms(f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S(sigma) and -(log2 sigma x 1) f for each sigma = f f^dag / p of size
+    2 x 2, f of shape (rows, 2, k), in closed form.
+
+    With rho = f f^dag, mu = Tr rho / 2 and r = |rho - mu|, sigma has the
+    eigenvalues (mu -+ r) / p, and log2 sigma = alpha + beta' (rho - mu),
+    alpha the mean of the two logs (log 0 at or below EIG_CLAMP). When both
+    eigenvalues count, beta' = arctanh(x) / (x mu ln 2) with x = r / mu,
+    which stays finite as r -> 0; when only the larger one does, beta' is
+    its log over 2r, which gives its log times its projector.
+    """
+    f0, f1 = f[:, 0], f[:, 1]
+    s00 = np.einsum("nk,nk->n", f0, f0.conj()).real
+    s11 = np.einsum("nk,nk->n", f1, f1.conj()).real
+    s01 = np.einsum("nk,nk->n", f0, f1.conj())
+    mu, h = (s00 + s11) / 2, (s00 - s11) / 2
+    r = np.sqrt(h * h + s01.real ** 2 + s01.imag ** 2)
+    lo, hi = np.maximum((mu - r) / p, 0.0), (mu + r) / p
+    log_lo, log_hi = _log2_clamped(lo), _log2_clamped(hi)
+    both = lo > EIG_CLAMP
+    mu_both = np.where(both, mu, 1.0)
+    x = np.where(both, r / mu_both, 0.0)
+    atanh_ratio = np.where(x > 0, np.arctanh(x) / np.where(x > 0, x, 1.0), 1.0)
+    beta = np.where(both, atanh_ratio / (mu_both * math.log(2)),
+                    log_hi / np.where(r > 0, 2 * r, 1.0))
+    alpha = (log_lo + log_hi) / 2
+    c0, c1, off = (alpha + beta * h)[:, None], (alpha - beta * h)[:, None], (beta * s01)[:, None]
+    g = np.empty_like(f)
+    np.add(c0 * f0, off * f1, out=g[:, 0])
+    np.add(off.conj() * f0, c1 * f1, out=g[:, 1])
+    return -(lo * log_lo + hi * log_hi), -g
+
+
 def _pure_values(W: np.ndarray, dims: tuple[int, ...],
                  measure: str) -> tuple[np.ndarray, np.ndarray]:
     """Contributions p_j * T(psi_j) of the unnormalized member rows W, and
@@ -179,32 +228,36 @@ def _pure_values(W: np.ndarray, dims: tuple[int, ...],
     An entropy term p S(rho_K / p) has gradient -(log2(rho_K / p) x 1) w,
     with log 0 on eigenvalues under EIG_CLAMP; a linear-entropy term
     p - Tr(rho_K^2) / p has gradient w - (2 rho_K w - Tr(rho_K^2) w / p) / p.
+    All cuts of one marginal dimension run as one stack of rows: 2 x 2
+    marginals in closed form, larger ones through one eigh. Every row is
+    computed on its own, so a row's numbers do not depend on the others.
     """
-    m = W.shape[0]
+    m, d = W.shape
     p = np.einsum("md,md->m", W, W.conj()).real
     live = p > 1e-14
-    ps = np.where(live, p, 1.0)[:, None, None]
-    T = W.reshape((m,) + dims)
     values = np.zeros(m)
-    grad = np.zeros_like(T)
-    for keep, coef in _cuts(dims, measure):
-        axes, front = [k + 1 for k in keep], list(range(1, len(keep) + 1))
-        moved = np.moveaxis(T, axes, front)
-        flat = moved.reshape(m, math.prod(dims[k] for k in keep), -1)
-        rho = flat @ flat.conj().transpose(0, 2, 1)
+    grad = np.zeros_like(W)
+    for dk, coefs, order, inverse in _cut_groups(dims, measure):
+        c = len(coefs)
+        flat = W[:, order].reshape(m * c, dk, -1)
+        ps = np.repeat(np.where(live, p, 1.0), c)
         if measure == "MW":
-            purity = (np.abs(rho) ** 2).sum(axis=(1, 2))[:, None, None] / ps**2
-            values += coef * p * (1.0 - purity[:, 0, 0])
-            g = (1.0 + purity) * flat - 2.0 * (rho @ flat) / ps
+            rho = flat @ flat.conj().transpose(0, 2, 1)
+            purity = (np.abs(rho) ** 2).sum(axis=(1, 2)) / ps**2
+            terms = 1.0 - purity
+            g = (1.0 + purity)[:, None, None] * flat - 2.0 * (rho @ flat) / ps[:, None, None]
+        elif dk == 2:
+            terms, g = _qubit_entropy_terms(flat, ps)
         else:
-            lam, U = np.linalg.eigh(rho)
-            lam = np.clip(lam / ps[:, 0], 0.0, None)
-            safe = lam > EIG_CLAMP
-            logs = np.where(safe, np.log2(np.where(safe, lam, 1.0)), 0.0)
-            values -= coef * p * (lam * logs).sum(axis=1)
+            lam, U = np.linalg.eigh(flat @ flat.conj().transpose(0, 2, 1))
+            lam = np.clip(lam / ps[:, None], 0.0, None)
+            logs = _log2_clamped(lam)
+            terms = -(lam * logs).sum(axis=1)
             g = -((U * logs[:, None, :]) @ (U.conj().transpose(0, 2, 1) @ flat))
-        grad += coef * np.moveaxis(g.reshape(moved.shape), front, axes)
-    return np.where(live, values, 0.0), grad.reshape(m, -1)
+        values += p * (terms.reshape(m, c) * coefs).sum(axis=1)
+        g = g.reshape(m, c, d) * coefs[:, None]
+        grad += g.reshape(m, c * d)[:, inverse].reshape(m, c, d).sum(axis=1)
+    return np.where(live, values, 0.0), grad
 
 
 def _chunks(m: int, k: int) -> list[list[int]]:
@@ -406,17 +459,16 @@ def roof_minimize(rho: State, measure: str, config: RoofConfig | None = None) ->
         value = direct_measure(rho, measure)
         return RoofResult(value, Ensemble((1.0,), (rho,)), (value,), True)
 
-    r = _numerical_rank(rho)
+    r, lam, vecs = _eigen(rho)
     if r == 1:
-        lam, vecs = np.linalg.eigh(rho.matrix)
-        psi = PureState(shape, vecs[:, -1] / np.linalg.norm(vecs[:, -1]))
+        psi = PureState(shape, vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
         value = direct_measure(psi, measure)
         return RoofResult(value, Ensemble((1.0,), (psi,)), (value,), True)
 
     m = cfg.ensemble_size if cfg.ensemble_size is not None else r * r
     if m < r:
         raise ValueError(f"ensemble_size must be >= rank ({r}), got {m}")
-    A = _eigen_rows(rho, r)
+    A = _eigen_rows(lam, vecs, r)
     seeds = [cfg.seed + k for k in range(cfg.restarts)]
     if cfg.strategy == "pure_roof":
         group = max(1, ROW_BUDGET // m)

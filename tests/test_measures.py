@@ -158,6 +158,34 @@ class TestBipartiteAndSubsetSums:
         psi = product([random_qubit(s) for s in range(3)])
         assert abs(subset_correlation_sum(psi)) < 1e-9
 
+    @pytest.mark.parametrize("state", [
+        ghz(3), random_pure(RegisterShape((2, 3, 2)), seed=71),
+        random_density(qubits(3), 3, seed=72), random_density(RegisterShape((2, 3, 2)), 4, seed=73),
+    ])
+    def test_subset_sum_matches_per_bipartition_sum(self, state):
+        n = state.shape.nsites
+        parts = [{0} | set(rest) for size in range(n - 1) for rest in combinations(range(1, n), size)]
+        oracle = sum(bipartite_correlation(state, part) for part in parts)
+        assert subset_correlation_sum(state) == pytest.approx(oracle, abs=1e-12)
+
+    def test_subset_sum_diagonalizes_the_whole_state_once(self, monkeypatch):
+        rho = random_density(qubits(4), 3, seed=74)
+        whole = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            whole.append(np.shape(a)[-1] == rho.shape.dim)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        subset_correlation_sum(rho)
+        assert sum(whole) == 1 and len(whole) > 1
+
+    def test_subset_sum_rejects_invalid_density(self):
+        not_psd = DensityMatrix(qubits(3), np.diag([0.7, 0.5, -0.2, 0, 0, 0, 0, 0]))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            subset_correlation_sum(not_psd)
+
     def test_subset_sum_site_cap(self):
         psi = product([random_qubit(s) for s in range(13)])
         with pytest.raises(ResourceLimitError):

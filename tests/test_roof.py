@@ -16,14 +16,13 @@ from totalcorr import (
     mix,
     pcrc_gap,
     product,
-    purify,
     random_density,
     random_pure,
     roof_additivity_gap,
     roof_minimize,
 )
 from totalcorr import roof
-from totalcorr.core import ResourceLimitError, partial_trace
+from totalcorr.core import ResourceLimitError
 from totalcorr.measures import direct_measure
 from totalcorr.roof import _cuts, _pure_values
 from totalcorr.states import PureState
@@ -45,21 +44,6 @@ def classically_correlated():
     mat = np.zeros((4, 4), dtype=complex)
     mat[0, 0] = mat[3, 3] = 0.5
     return DensityMatrix(Q2, mat)
-
-
-class TestPurify:
-    def test_ancilla_trace_recovers_state(self):
-        rho = random_density(RegisterShape((2, 2)), 3, seed=31)
-        psi = purify(rho)
-        nk = psi.shape.nsites
-        red = partial_trace(dm(psi), set(range(nk - 1)))
-        assert np.max(np.abs(red.matrix - rho.matrix)) < 1e-10
-
-    def test_pure_input_gets_trivial_ancilla(self):
-        psi = purify(dm(epr()))
-        assert psi.shape.dims == (2, 2, 2)
-        red = partial_trace(dm(psi), {0, 1})
-        assert np.max(np.abs(red.matrix - dm(epr()).matrix)) < 1e-10
 
 
 class TestEnsembleFromIsometry:
@@ -318,3 +302,102 @@ class TestBatchedObjective:
             minus = _pure_values(W - h * E, dims, measure)[0].sum()
             slope = 2 * np.vdot(G, E).real
             assert (plus - minus) / (2 * h) == pytest.approx(slope, rel=1e-6)
+
+    @staticmethod
+    def edge_rows(dims, seed):
+        """Member rows at the edges of the closed-form qubit kernel, each under
+        random local unitaries unless noted: a product member (rank-1
+        marginals), a Bell pair on sites 0 and 1 (a degenerate 1/2, 1/2
+        spectrum), the same pair unrotated (r = 0 exactly), a pair whose two
+        eigenvalues differ by 1e-9, a zero row, rows of weight 2e-14 and
+        5e-15, on either side of the 1e-14 liveness cut, and last a pair whose
+        smaller eigenvalue, 1e-11, sits just above EIG_CLAMP."""
+        rng = np.random.default_rng(seed)
+
+        def ket(*terms):
+            t = np.zeros(dims, dtype=complex)
+            for amp, index in terms:
+                t[index + (0,) * (len(dims) - len(index))] = amp
+            return t
+
+        def rotated(t):
+            for axis, k in enumerate(dims):
+                u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+                t = np.moveaxis(np.tensordot(u, t, axes=(1, axis)), 0, axis)
+            return t.reshape(-1) * rng.uniform(0.3, 2.0)
+
+        bell = ket((np.sqrt(0.5), (0, 0)), (np.sqrt(0.5), (1, 1)))
+        gap = ket((np.sqrt(0.5 + 5e-10), (0, 0)), (np.sqrt(0.5 - 5e-10), (1, 1)))
+        small = rotated(ket((1.0, (0,)), (0.6j, (1, 1))))
+        small /= np.linalg.norm(small)
+        return np.array([
+            rotated(ket((1.0, (0,)))), rotated(bell), bell.reshape(-1), rotated(gap),
+            np.zeros(small.size), np.sqrt(2e-14) * small, np.sqrt(5e-15) * small,
+            rotated(ket((np.sqrt(1 - 1e-11), (0, 0)), (np.sqrt(1e-11), (1, 1)))),
+        ])
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 2, 2)])
+    @pytest.mark.parametrize("measure", ["M", "MW"])
+    def test_edge_rows_match_direct_measure(self, dims, measure):
+        W = self.edge_rows(dims, 3)
+        got, G = _pure_values(W, dims, measure)
+        for k, row in enumerate(W):
+            p = float(np.vdot(row, row).real)
+            expected = 0.0
+            if p > 0:
+                member = PureState(RegisterShape(dims), row / np.sqrt(p))
+                expected = p * direct_measure(member, measure)
+            assert got[k] == pytest.approx(expected, abs=1e-12)
+        assert got[4] == 0.0 and not G[4].any()
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 2, 2)])
+    def test_edge_rows_gradient_matches_central_differences(self, dims):
+        # rows are independent, so each row's slope is checked on its own,
+        # with a step scaled to its norm (1e-5 for the zero row); a product
+        # member has slope 0 and a central difference of order h^2 log h. The
+        # last row is left out: a step moves its 1e-11 eigenvalue by far more
+        # than itself, where the entropy is not smooth
+        W = self.edge_rows(dims, 4)[:-1]
+        norms = np.linalg.norm(W, axis=1)
+        h = 1e-5 * np.where(norms > 0, norms, 1.0)
+        _, G = _pure_values(W, dims, "M")
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            E = rng.standard_normal(W.shape) + 1j * rng.standard_normal(W.shape)
+            plus = _pure_values(W + h[:, None] * E, dims, "M")[0]
+            minus = _pure_values(W - h[:, None] * E, dims, "M")[0]
+            slope = 2 * np.einsum("kd,kd->k", G.conj(), E).real
+            np.testing.assert_allclose((plus - minus) / (2 * h), slope,
+                                       rtol=1e-6, atol=1e-7 * norms.max() ** 2)
+
+    def test_qubit_cuts_make_no_eigen_call_in_the_objective(self, monkeypatch):
+        # every cut of a two- or three-qubit register is a qubit cut on its
+        # smaller side; a qutrit cut still takes eigh, which shows the
+        # counter at work
+        counts = {"objective": 0, "eigen": 0}
+        inside = []
+        pure_values = roof._pure_values
+
+        def objective(*args):
+            counts["objective"] += 1
+            inside.append(True)
+            try:
+                return pure_values(*args)
+            finally:
+                inside.pop()
+
+        def counted(fn):
+            def wrapped(*args, **kwargs):
+                counts["eigen"] += bool(inside)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(roof, "_pure_values", objective)
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        for dims, eigen in (((2, 2), False), ((2, 2, 2), False), ((3, 2, 2), True)):
+            counts.update(objective=0, eigen=0)
+            rho = random_density(RegisterShape(dims), 3, seed=60)
+            roof_minimize(rho, "M", RoofConfig(restarts=2, seed=1))
+            assert counts["objective"] > 0
+            assert (counts["eigen"] > 0) == eigen, dims
