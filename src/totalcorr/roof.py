@@ -3,14 +3,17 @@
 The minimization runs over decompositions generated by m x r isometries
 acting on the eigen-ensemble of the state (ensemble steering). The pure
 roof runs Riemannian conjugate gradient on the isometry, driven by the
-closed-form gradient of the members' marginal entropies. Its restarts run
-in lock step as one batch on a leading axis: each objective evaluation
-covers the member rows of every restart still searching, in consecutive
-groups of restarts of at most ROW_BUDGET rows, so memory grows with
-restarts x members x dimension up to that budget. The mixed roof searches
-complex plane rotations on pairs of members, grouped into mixtures, one
-restart after another. Restart k is seeded base seed + k whether it runs
-alone or in a batch, so results are bit-identical for a fixed config.
+closed-form gradient of the members' marginal entropies, with an Armijo
+line search that backtracks by safeguarded quadratic interpolation. Its
+restarts run in lock step as one batch on a leading axis: each objective
+evaluation covers the member rows of every restart still searching, in
+consecutive groups of restarts of at most ROW_BUDGET rows, so memory
+grows with restarts x members x dimension up to that budget. Its value is
+the returned members' weighted average, from one batched evaluation of
+the normalized members. The mixed roof searches complex plane rotations
+on pairs of members, grouped into mixtures, one restart after another.
+Restart k is seeded base seed + k whether it runs alone or in a batch, so
+results are bit-identical for a fixed config.
 """
 
 from __future__ import annotations
@@ -231,6 +234,7 @@ def _pure_values(W: np.ndarray, dims: tuple[int, ...],
     All cuts of one marginal dimension run as one stack of rows: 2 x 2
     marginals in closed form, larger ones through one eigh. Every row is
     computed on its own, so a row's numbers do not depend on the others.
+    A row of weight at most 1e-14 is dead: its value and gradient are 0.
     """
     m, d = W.shape
     p = np.einsum("md,md->m", W, W.conj()).real
@@ -257,7 +261,7 @@ def _pure_values(W: np.ndarray, dims: tuple[int, ...],
         values += p * (terms.reshape(m, c) * coefs).sum(axis=1)
         g = g.reshape(m, c, d) * coefs[:, None]
         grad += g.reshape(m, c * d)[:, inverse].reshape(m, c, d).sum(axis=1)
-    return np.where(live, values, 0.0), grad
+    return np.where(live, values, 0.0), np.where(live[:, None], grad, 0.0)
 
 
 def _chunks(m: int, k: int) -> list[list[int]]:
@@ -339,19 +343,28 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig):
     `_pure_values` call on the rows of the restarts still searching, and
     every restart takes the steps it would take alone.
 
+    The line search backtracks by safeguarded quadratic interpolation
+    (Nocedal and Wright, Numerical Optimization, section 3.5): a failed trial
+    step t is replaced by the minimizer of the parabola through the total,
+    the slope and the failed trial total, clipped to [t / 10, t / 2]. The
+    first trial of each search is twice the last accepted step. Only the
+    start point and accepted trials have their gradient projected onto the
+    tangent space.
+
     Returns the totals, the member rows V[k] A and the converged flags.
     """
     r, d = A.shape
     A_dag = A.conj().T
 
     def evaluate(V):
+        # totals, and the gradient with respect to conj(W), not yet projected
         vals, G = _pure_values((V @ A).reshape(-1, d), dims, measure)
-        return vals.reshape(len(V), m).sum(axis=1), _project(V, G.reshape(len(V), m, d) @ A_dag)
+        return vals.reshape(len(V), m).sum(axis=1), G.reshape(len(V), m, d)
 
     def start_line_search(idx):
         # the derivative of the total along a direction D is 2 Re <grad, D>
         iters[idx] += 1
-        halvings[idx] = 0
+        reductions[idx] = 0
         slope[idx] = 2.0 * _inner(grad[idx], direction[idx])
         reset = idx[slope[idx] >= 0.0]
         direction[reset] = -grad[reset]
@@ -362,30 +375,38 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig):
         rng = np.random.default_rng(seed)
         starts.append(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))
     V = _retract(np.stack(starts))
-    total, grad = evaluate(V)
+    total, G = evaluate(V)
+    grad = _project(V, G @ A_dag)
     direction = -grad
     step = np.ones(len(V))
     slope = np.zeros(len(V))
     iters = np.zeros(len(V), dtype=int)
-    halvings = np.zeros(len(V), dtype=int)
+    reductions = np.zeros(len(V), dtype=int)
     converged = total < cfg.tolerance
     searching = np.flatnonzero(~converged)
     start_line_search(searching)
     while searching.size:
         idx = searching
         V_new = _retract(V[idx] + step[idx, None, None] * direction[idx])
-        total_new, grad_new = evaluate(V_new)
+        total_new, G_new = evaluate(V_new)
         ok = total_new < total[idx] + 1e-4 * step[idx] * slope[idx]
 
         failed = idx[~ok]
-        step[failed] *= 0.5
-        halvings[failed] += 1
-        # 60 halvings shrink the step by a factor of 1e18: no step decreases
-        # the total, so the restart is stationary
-        stuck = halvings[failed] == 60
+        t, s = step[failed], slope[failed]
+        # an Armijo failure at slope < 0 makes the curvature positive; a
+        # non-finite or non-positive one falls back to halving
+        curv = 2.0 * (total_new[~ok] - total[failed] - s * t)
+        fit = curv > 0.0
+        t_min = np.where(fit, -s * t * t / np.where(fit, curv, 1.0), 0.5 * t)
+        step[failed] = np.clip(t_min, 0.1 * t, 0.5 * t)
+        reductions[failed] += 1
+        # each reduction at least halves the step, so 60 of them shrink it by
+        # 1e18 or more: no step decreases the total, the restart is stationary
+        stuck = reductions[failed] == 60
         converged[failed[stuck]] = True
 
-        acc, V_acc, total_acc, grad_acc = idx[ok], V_new[ok], total_new[ok], grad_new[ok]
+        acc, V_acc, total_acc = idx[ok], V_new[ok], total_new[ok]
+        grad_acc = _project(V_acc, G_new[ok] @ A_dag)
         carried = _project(V_acc, grad[acc])
         beta = np.maximum(0.0, _inner(grad_acc, grad_acc - carried) / _inner(grad[acc], grad[acc]))
         direction[acc] = -grad_acc + beta[:, None, None] * _project(V_acc, direction[acc])
@@ -497,10 +518,14 @@ def roof_minimize(rho: State, measure: str, config: RoofConfig | None = None) ->
         if best_k < m:
             members = _chunk_mixtures(shape, best_w, best_k, WEIGHT_DROP)
     ensemble = _ensemble(members)
-    final = sum(
-        p * direct_measure(member, measure)
-        for p, member in zip(ensemble.weights, ensemble.members)
-    )
+    if cfg.strategy == "pure_roof":
+        amps = np.array([member.amplitudes for member in ensemble.members])
+        final = np.dot(ensemble.weights, _pure_values(amps, shape.dims, measure)[0])
+    else:
+        final = sum(
+            p * direct_measure(member, measure)
+            for p, member in zip(ensemble.weights, ensemble.members)
+        )
     return RoofResult(float(final), ensemble, tuple(per_restart), best_conv)
 
 

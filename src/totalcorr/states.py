@@ -16,7 +16,7 @@ from .core import DensityMatrix, RegisterShape, _frozen_complex, _require_densit
 NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PureState:
     """Normalized complex amplitude vector over a register."""
 
@@ -34,7 +34,7 @@ class PureState:
 State = Union[PureState, DensityMatrix]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ensemble:
     """Probability-weighted list of states sharing one register shape."""
 

@@ -87,15 +87,19 @@ class TestRoofMinimize:
         res = roof_minimize(werner(0.2), "M", FAST)
         assert res.value <= 1e-3
 
-    def test_value_matches_returned_ensemble(self):
-        rho = random_density(Q2, 3, seed=37)
-        res = roof_minimize(rho, "M", FAST)
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 3)])
+    @pytest.mark.parametrize("measure", ["M", "O", "S", "MW"])
+    def test_value_matches_returned_ensemble(self, dims, measure):
+        # the pure roof takes its value from one batched objective call on
+        # the members; it must be their average of the direct measure
+        rho = random_density(RegisterShape(dims), 3, seed=37)
+        res = roof_minimize(rho, measure, FAST)
         recomputed = sum(
-            p * direct_measure(member, "M")
+            p * direct_measure(member, measure)
             for p, member in zip(res.ensemble.weights, res.ensemble.members)
         )
         assert res.value == pytest.approx(recomputed, abs=1e-12)
-        assert np.max(np.abs(mix(res.ensemble).matrix - rho.matrix)) < 1e-8
+        assert np.max(np.abs(mix(res.ensemble).matrix - rho.matrix)) < 1e-10
 
     def test_upper_bounded_by_eigen_ensemble(self):
         rho = random_density(Q2, 4, seed=38)
@@ -194,6 +198,24 @@ class TestBatchedRestarts:
         assert runs[-1].converged
         for values in zip(*(run.per_restart_values for run in runs)):
             assert all(later < earlier for earlier, later in zip(values, values[1:]))
+
+
+class TestLineSearch:
+    def test_formation_roofs_within_objective_call_budget(self, monkeypatch):
+        # the default-config roofs of the four bench formation states; a line
+        # search that halves a failed step and doubles an accepted one makes
+        # 338 objective calls here, quadratic interpolation about 240
+        calls = []
+        pure_values = roof._pure_values
+
+        def counted(*args):
+            calls.append(1)
+            return pure_values(*args)
+
+        monkeypatch.setattr(roof, "_pure_values", counted)
+        for seed in range(20_000, 20_004):
+            roof_minimize(random_density(Q2, 4, seed=seed), "M", RoofConfig())
+        assert len(calls) <= 270
 
 
 class TestAgainstFormationOracle:
@@ -349,6 +371,17 @@ class TestBatchedObjective:
                 expected = p * direct_measure(member, measure)
             assert got[k] == pytest.approx(expected, abs=1e-12)
         assert got[4] == 0.0 and not G[4].any()
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 2, 2)])
+    @pytest.mark.parametrize("measure", ["M", "O", "S", "MW"])
+    def test_dead_rows_have_zero_value_and_gradient(self, dims, measure):
+        # rows 4-6 of edge_rows: a zero row and the weight-5e-15 row sit under
+        # the 1e-14 liveness cut, the weight-2e-14 row just above it
+        W = self.edge_rows(dims, 5)[4:7]
+        values, G = _pure_values(W, dims, measure)
+        assert values[0] == values[2] == 0.0
+        assert not G[0].any() and not G[2].any()
+        assert values[1] > 0.0 and G[1].any()
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 2, 2)])
     def test_edge_rows_gradient_matches_central_differences(self, dims):
