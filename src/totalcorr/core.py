@@ -11,7 +11,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -29,13 +31,46 @@ class SupportError(ValueError):
     """A relative-entropy support condition is violated."""
 
 
+def _indices(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as ints: numpy integers pass, and a float or any other
+    non-integral value raises ValueError instead of being truncated."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values}") from None
+
+
+def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
+    dims = _indices(dims, "local dimensions")
+    if not dims:
+        raise ValueError("register needs at least one subsystem")
+    if min(dims) < 2:
+        raise ValueError(f"local dimensions must be >= 2, got {dims}")
+    return dims
+
+
 def _check_keep(keep: Iterable[int], nsites: int) -> tuple[int, ...]:
-    keep = sorted({int(i) for i in keep})
+    keep = sorted(set(_indices(keep, "subsystem indices")))
     if not keep:
         raise ValueError("subsystem selection must be non-empty")
     if keep[0] < 0 or keep[-1] >= nsites:
         raise ValueError(f"subsystem index out of range for {nsites} subsystems: {keep}")
     return tuple(keep)
+
+
+@functools.lru_cache(maxsize=4096)
+def _keep_first(dims: tuple[int, ...], keep: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Axis order with the sites of `keep` first, the traced sites after them,
+    each part in register order, and the dimension of the kept part.
+
+    Both arguments must be int tuples as `_check_dims` and `_check_keep`
+    return them, `keep` sorted and in range: a float hashes and compares
+    equal to its int, so an unchecked key could hit an entry made for a
+    valid one. The cache is bounded, and holds no array.
+    """
+    traced = tuple(i for i in range(len(dims)) if i not in keep)
+    return keep + traced, math.prod(dims[i] for i in keep)
 
 
 @dataclass(frozen=True)
@@ -45,12 +80,7 @@ class RegisterShape:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if not dims:
-            raise ValueError("register needs at least one subsystem")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"local dimensions must be >= 2, got {dims}")
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", _check_dims(self.dims))
 
     @property
     def dim(self) -> int:
@@ -103,10 +133,10 @@ def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[in
 
     One `einsum` over the `dims + dims` tensor repeats each traced label; the
     diagonal it selects is summed pairwise, as accurate as tracing site by site."""
-    dims = tuple(int(d) for d in dims)
+    dims = _check_dims(dims)
     keep = _check_keep(keep, len(dims))
-    n, dk = len(dims), math.prod(dims[i] for i in keep)
-    traced = [i for i in range(n) if i not in keep]
+    order, dk = _keep_first(dims, keep)
+    n, traced = len(dims), order[len(keep):]
     cols = [n + i if i in keep else i for i in range(n)]
     t = np.asarray(mat, dtype=complex).reshape(dims + dims)
     diag = np.einsum(t, list(range(n)) + cols, [*keep, *(n + i for i in keep), *traced])
@@ -121,17 +151,18 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 
 def pure_marginal(amplitudes: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Reduced density matrix of a pure state, contracted from its amplitudes.
+    """Reduced density matrix on `keep` of the pure state with these amplitudes.
 
-    Avoids materializing the full D x D matrix, which keeps sweeps over
-    large registers cheap.
+    The amplitude tensor, its kept sites moved first, is copied once into a
+    dk x (D / dk) matrix F, and the marginal is F F^dag, in the original
+    order of the kept sites. The full D x D matrix is never formed, which
+    keeps sweeps over large registers cheap. Site indices may come in any
+    order, repeated or as numpy integers; an empty, out-of-range or
+    non-integral selection raises ValueError.
     """
-    dims = tuple(int(d) for d in dims)
-    keep = _check_keep(keep, len(dims))
-    t = np.asarray(amplitudes, dtype=complex).reshape(dims)
-    t = np.moveaxis(t, keep, range(len(keep)))
-    dk = math.prod(dims[i] for i in keep)
-    flat = t.reshape(dk, -1)
+    dims = _check_dims(dims)
+    order, dk = _keep_first(dims, _check_keep(keep, len(dims)))
+    flat = np.asarray(amplitudes, dtype=complex).reshape(dims).transpose(order).reshape(dk, -1)
     return flat @ flat.conj().T
 
 

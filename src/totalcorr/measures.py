@@ -21,6 +21,7 @@ from .core import (
     RegisterShape,
     ResourceLimitError,
     SupportError,
+    _check_keep,
     _require_density,
     partial_trace_matrix,
     pure_marginal,
@@ -83,10 +84,8 @@ def linear_entropy(rho: State) -> float:
 
 def mutual_information(state: State, a: Iterable[int], b: Iterable[int]) -> float:
     """I(A:B) = S(A) + S(B) - S(AB), evaluated on the reduced state."""
-    a = tuple(sorted({int(i) for i in a}))
-    b = tuple(sorted({int(i) for i in b}))
-    if not a or not b:
-        raise ValueError("index sets must be non-empty")
+    n = state.shape.nsites
+    a, b = _check_keep(a, n), _check_keep(b, n)
     if set(a) & set(b):
         raise ValueError(f"index sets overlap: {a} and {b}")
     if isinstance(state, DensityMatrix):
@@ -176,9 +175,9 @@ def measure_MW(state: State) -> float:
 def bipartite_correlation(state: State, part: Iterable[int]) -> float:
     """S(rho_part) + S(rho_complement) - S(rho) across one bipartition."""
     n = state.shape.nsites
-    part = tuple(sorted({int(i) for i in part}))
-    rest = tuple(i for i in range(n) if i not in set(part))
-    if not part or not rest:
+    part = _check_keep(part, n)
+    rest = tuple(i for i in range(n) if i not in part)
+    if not rest:
         raise ValueError("bipartition must be proper and non-empty")
     s_p, s_r = _entropies([_marginal(state, part), _marginal(state, rest)])
     return s_p + s_r - von_neumann_entropy(state)

@@ -26,7 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DensityMatrix, RegisterShape, ResourceLimitError, _require_density
+from .core import (
+    DensityMatrix,
+    RegisterShape,
+    ResourceLimitError,
+    _keep_first,
+    _require_density,
+)
 from .measures import EIG_CLAMP, _correlations, _direct, direct_measure
 from .states import Ensemble, PureState, State, as_density, flagged_mixture
 
@@ -167,13 +173,11 @@ def _cut_groups(dims: tuple[int, ...], measure: str) -> tuple[tuple, ...]:
     row gathered by it reshapes to dk x (D / dk), and `inverse` takes the
     gathered rows of all cuts, laid end to end, back to register order.
     """
-    n = len(dims)
     index = np.arange(math.prod(dims)).reshape(dims)
     groups: dict[int, list] = {}
     for keep, coef in _cuts(dims, measure):
-        rest = [i for i in range(n) if i not in keep]
-        order = index.transpose(list(keep) + rest).reshape(-1)
-        groups.setdefault(math.prod(dims[k] for k in keep), []).append((coef, order))
+        axes, dk = _keep_first(dims, keep)
+        groups.setdefault(dk, []).append((coef, index.transpose(axes).reshape(-1)))
     out = []
     for dk, cuts in groups.items():
         coefs, orders = np.array([c for c, _ in cuts]), np.stack([o for _, o in cuts])
@@ -318,7 +322,8 @@ def _retract(X: np.ndarray) -> np.ndarray:
 
 
 def _project(V: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Each X projected onto the tangent space of the isometries at V."""
+    """Each X projected onto the tangent space of the isometries at V; X may
+    carry extra leading axes, each slice projected at the same stack V."""
     B = V.conj().swapaxes(-1, -2) @ X
     return X - V @ (0.5 * (B + B.conj().swapaxes(-1, -2)))
 
@@ -406,10 +411,11 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig):
         converged[failed[stuck]] = True
 
         acc, V_acc, total_acc = idx[ok], V_new[ok], total_new[ok]
-        grad_acc = _project(V_acc, G_new[ok] @ A_dag)
-        carried = _project(V_acc, grad[acc])
+        # the new gradient, and the old gradient and direction carried to V_acc
+        grad_acc, carried, transported = _project(
+            V_acc, np.array([G_new[ok] @ A_dag, grad[acc], direction[acc]]))
         beta = np.maximum(0.0, _inner(grad_acc, grad_acc - carried) / _inner(grad[acc], grad[acc]))
-        direction[acc] = -grad_acc + beta[:, None, None] * _project(V_acc, direction[acc])
+        direction[acc] = -grad_acc + beta[:, None, None] * transported
         converged[acc] = (total[acc] - total_acc < cfg.tolerance) | (total_acc < cfg.tolerance)
         V[acc], total[acc], grad[acc] = V_acc, total_acc, grad_acc
         step[acc] *= 2.0

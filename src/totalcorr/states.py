@@ -277,7 +277,7 @@ def save_state(state: State, path) -> None:
 def load_state(path) -> State:
     """Read a state file written by :func:`save_state`."""
     doc = json.loads(Path(path).read_text())
-    shape = RegisterShape(tuple(int(d) for d in doc["dims"]))
+    shape = RegisterShape(tuple(doc["dims"]))
     if "amplitudes" in doc:
         amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
         return PureState(shape, amps)

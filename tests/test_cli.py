@@ -70,6 +70,17 @@ class TestMeasureCommand:
         code, _, _ = run(capsys, "measure", "--file", str(bad))
         assert code == 2
 
+    def test_non_integral_dims_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "psi.json"
+        save_state(random_pure(RegisterShape((2, 2)), seed=4), path)
+        doc = json.loads(path.read_text())
+        doc["dims"] = [2.9, 2]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "measure", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "integers" in err
+
     @pytest.mark.parametrize("command", ["measure", "roof"])
     def test_invalid_density_file_is_usage_error(self, capsys, tmp_path, command):
         path = tmp_path / "rho.json"

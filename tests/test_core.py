@@ -16,7 +16,7 @@ from totalcorr import (
     pure_marginal,
     validate_density,
 )
-from totalcorr.core import partial_trace_matrix
+from totalcorr.core import _keep_first, partial_trace_matrix
 from totalcorr.states import dm, epr, ghz, random_density, random_pure
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -75,6 +75,18 @@ class TestRegisterShape:
 
     def test_restrict_preserves_order(self):
         assert RegisterShape((2, 3, 4)).restrict({2, 0}).dims == (2, 4)
+
+    def test_rejects_non_integral_dims(self):
+        # int() would truncate 2.9 to 2
+        with pytest.raises(ValueError, match="integers"):
+            RegisterShape((2.9, 3))
+        with pytest.raises(ValueError, match="integers"):
+            RegisterShape((2.0, 3))
+
+    def test_numpy_integer_dims_become_ints(self):
+        dims = RegisterShape((np.int64(2), np.int32(3))).dims
+        assert dims == (2, 3)
+        assert all(type(d) is int for d in dims)
 
 
 class TestKron:
@@ -143,6 +155,15 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(dm(epr()), {2})
 
+    def test_non_integral_index_raises(self):
+        # int() would truncate 0.2 to site 0
+        rho = dm(ghz(3))
+        partial_trace(rho, [0])
+        with pytest.raises(ValueError, match="integers"):
+            partial_trace(rho, [0.2])
+        with pytest.raises(ValueError, match="integers"):
+            partial_trace_matrix(rho.matrix, (2, 2, 2), [0.0])
+
     @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 2)])
     def test_every_keep_against_loop_oracle(self, dims):
         # a general complex matrix, so that rows and columns cannot be confused
@@ -161,6 +182,61 @@ class TestPartialTrace:
         fast = pure_marginal(psi.amplitudes, psi.shape.dims, (1, 3))
         slow = partial_trace(dm(psi), (1, 3)).matrix
         assert np.allclose(fast, slow, atol=1e-12)
+
+
+def moveaxis_marginal(amps, dims, keep):
+    """Reference contraction: the kept axes moved to the front by np.moveaxis."""
+    keep = sorted(set(keep))
+    t = np.moveaxis(amps.reshape(dims), keep, range(len(keep)))
+    flat = t.reshape(int(np.prod([dims[i] for i in keep])), -1)
+    return flat @ flat.conj().T
+
+
+class TestPureMarginal:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2, 2)])
+    def test_every_keep_bit_identical_to_moveaxis(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        d = int(np.prod(dims))
+        amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        n = len(dims)
+        for size in range(1, n + 1):
+            for keep in combinations(range(n), size):
+                got = pure_marginal(amps, dims, keep)
+                assert np.array_equal(got, moveaxis_marginal(amps, dims, keep)), keep
+
+    def test_keep_forms_agree(self):
+        psi = random_pure(RegisterShape((3, 2, 2, 2)), seed=12)
+        amps, dims = psi.amplitudes, psi.shape.dims
+        want = moveaxis_marginal(amps, dims, (0, 2))
+        for keep in [(2, 0), [0, 2, 0, 2], {2, 0}, (np.int64(2), np.int32(0)),
+                     np.array([2, 0]), iter([0, 2])]:
+            assert np.array_equal(pure_marginal(amps, dims, keep), want), keep
+        assert np.array_equal(pure_marginal(amps, np.array(dims), (0, 2)), want)
+
+    @pytest.mark.parametrize("keep", [(), [-1], (0, 3), (1.0,), [1.7], (np.float64(1.0),),
+                                      ("1",), (None,)])
+    def test_bad_keep_raises_after_a_valid_call(self, keep):
+        # the axis order is cached per register and selection: 1.0 hashes and
+        # compares equal to 1, so it must be rejected before the lookup
+        amps, dims = ghz(3).amplitudes, (2, 2, 2)
+        pure_marginal(amps, dims, (1,))
+        pure_marginal(amps, dims, (0, 1))
+        with pytest.raises(ValueError):
+            pure_marginal(amps, dims, keep)
+
+    def test_non_integral_dims_raise_after_a_valid_call(self):
+        amps = ghz(3).amplitudes
+        pure_marginal(amps, (2, 2, 2), (1,))
+        with pytest.raises(ValueError, match="integers"):
+            pure_marginal(amps, (2.0, 2, 2), (1,))
+
+    def test_cached_axis_order(self):
+        # kept sites first, traced sites after, both in register order; the
+        # cache holds these small tuples and no array that grows with D
+        psi = random_pure(RegisterShape((2,) * 10), seed=3)
+        pure_marginal(psi.amplitudes, psi.shape.dims, (4, 7))
+        order, dk = _keep_first(psi.shape.dims, (4, 7))
+        assert order == (4, 7, 0, 1, 2, 3, 5, 6, 8, 9) and dk == 4
 
 
 class TestHermitianEigenvalues:

@@ -99,6 +99,15 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information(dm(ghz(3)), set(), {1})
 
+    @pytest.mark.parametrize("state", [ghz(3), dm(ghz(3))], ids=["pure", "density"])
+    def test_rejects_non_integral_sites(self, state):
+        # int() would truncate these to I(0:1) = 1
+        with pytest.raises(ValueError, match="integers"):
+            mutual_information(state, [0.5], [1.9])
+        with pytest.raises(ValueError, match="integers"):
+            bipartite_correlation(state, [0.0])
+        assert mutual_information(state, [np.int64(0)], [np.int64(1)]) == pytest.approx(1.0)
+
     def test_probe_is_half(self):
         assert pairwise_probe(dm(epr()), 0, 1) == pytest.approx(1.0, abs=1e-9)
         assert pairwise_probe(ghz(4), 0, 3) == pytest.approx(0.5, abs=1e-9)

@@ -201,6 +201,18 @@ class TestBatchedRestarts:
 
 
 class TestLineSearch:
+    @pytest.mark.parametrize("batch", [1, 5, 20])
+    def test_stacked_projection_equals_separate(self, batch):
+        # an accepted step projects three stacks at the same isometries in one
+        # call; each must come out bit for bit as if projected alone
+        rng = np.random.default_rng(batch)
+        shape = (batch, 16, 4)
+        V = roof._retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        X = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
+        stacked = roof._project(V, X)
+        for k in range(3):
+            assert np.array_equal(stacked[k], roof._project(V, X[k].copy()))
+
     def test_formation_roofs_within_objective_call_budget(self, monkeypatch):
         # the default-config roofs of the four bench formation states; a line
         # search that halves a failed step and doubles an accepted one makes

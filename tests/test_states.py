@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -251,4 +252,13 @@ class TestStateFiles:
         path = tmp_path / "bad.json"
         path.write_text('{"dims": [2, 2]}')
         with pytest.raises(ValueError):
+            load_state(path)
+
+    def test_rejects_non_integral_dims(self, tmp_path):
+        path = tmp_path / "psi.json"
+        save_state(ghz(2), path)
+        doc = json.loads(path.read_text())
+        doc["dims"] = [2.9, 2]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="integers"):
             load_state(path)
