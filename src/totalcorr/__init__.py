@@ -6,8 +6,6 @@ from .core import (
     ResourceLimitError,
     SupportError,
     ValidationReport,
-    hermitian_eigenvalues,
-    kron,
     partial_trace,
     pure_marginal,
     validate_density,

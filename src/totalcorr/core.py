@@ -123,11 +123,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", _frozen_complex(self.matrix, (d, d)))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out every subsystem not in `keep` from a raw matrix, kept order preserved.
 
@@ -166,19 +161,79 @@ def pure_marginal(amplitudes: np.ndarray, dims: Sequence[int], keep: Iterable[in
     return flat @ flat.conj().T
 
 
-def hermitian_eigenvalues(h: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending.
+# The low-rank spectrum path of `_spectrum`. Below dimension 64 a dense
+# eigvalsh takes well under a millisecond and there is little to save. A
+# factor of at most D/16 columns keeps the pivot loop and the residual check
+# (O(D k^2) and O(D^2 k)) a few percent of the O(D^3) dense call they
+# replace or precede.
+# SPECTRUM_TOL bounds the Frobenius residual, hence by Weyl's inequality
+# how far any eigenvalue of rho may lie from the returned spectrum: a tenth
+# of the 1e-12 entropy clamp of `measures.EIG_CLAMP`, far below INPUT_TOL.
+SPECTRUM_MIN_DIM = 64
+SPECTRUM_RANK_DIVISOR = 16
+SPECTRUM_TOL = 1e-13
+# Entries per row block of the blockwise passes: 256 KB of complex128 stays
+# in cache. Larger blocks were no faster, and their products with a low-rank
+# factor were at times far slower where BLAS spread them over threads.
+BLOCK_ENTRIES = 1 << 14
 
-    Raises ValueError when the input deviates from Hermiticity by more
-    than `tol` entrywise.
+
+def _row_blocks(d: int) -> Iterable[slice]:
+    """Slices of consecutive rows of a d x d matrix, about BLOCK_ENTRIES
+    entries each."""
+    step = max(1, BLOCK_ENTRIES // d)
+    return (slice(i, i + step) for i in range(0, d, step))
+
+
+def _certified_factor(mat: np.ndarray) -> np.ndarray | None:
+    """L (D x k, k <= D / SPECTRUM_RANK_DIVISOR) with ||mat - L L^dag||_F at
+    most SPECTRUM_TOL, or None when no such factor is found.
+
+    L is the diagonally pivoted Cholesky factor (Hammarling, Higham and
+    Lucas, PARA 2006), stopped once the largest remaining diagonal entry is
+    below SPECTRUM_TOL / D. The remaining diagonal is the real part of the
+    residual's, so one entry above SPECTRUM_TOL fails the check at once;
+    otherwise the residual is formed, and its norm summed, over row blocks.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    dev = np.max(np.abs(h - h.conj().T))
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return np.linalg.eigvalsh(h)
+    d = len(mat)
+    kmax = d // SPECTRUM_RANK_DIVISOR
+    diag = mat.diagonal().real.copy()
+    L = np.zeros((d, kmax), dtype=complex)
+    k = 0
+    while k < kmax:
+        p = int(np.argmax(diag))
+        if diag[p] <= SPECTRUM_TOL / d:
+            break
+        L[:, k] = (mat[:, p] - L[:, :k] @ L[p, :k].conj()) / math.sqrt(diag[p])
+        diag -= L[:, k].real ** 2 + L[:, k].imag ** 2
+        k += 1
+    if k == 0 or np.max(np.abs(diag)) > SPECTRUM_TOL:
+        return None
+    L = L[:, :k]
+    lh = L.conj().T
+    sq = 0.0
+    for blk in _row_blocks(d):
+        res = L[blk] @ lh
+        res -= mat[blk]
+        sq += np.vdot(res, res).real
+    return L if sq <= SPECTRUM_TOL ** 2 else None
+
+
+def _spectrum(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, certified to SPECTRUM_TOL.
+
+    From dimension SPECTRUM_MIN_DIM, when `_certified_factor` finds L, the
+    spectrum is that of the k x k matrix L^dag L padded with zeros: by
+    Weyl's inequality every eigenvalue of mat lies within SPECTRUM_TOL of
+    it. A matrix of higher rank, or with an eigenvalue below -SPECTRUM_TOL,
+    takes the dense `np.linalg.eigvalsh` instead.
+    """
+    d = len(mat)
+    L = _certified_factor(mat) if d >= SPECTRUM_MIN_DIM else None
+    if L is None:
+        return np.linalg.eigvalsh(mat)
+    small = np.linalg.eigvalsh(L.conj().T @ L)
+    return np.sort(np.concatenate((np.zeros(d - len(small)), small)))
 
 
 @dataclass(frozen=True)
@@ -201,7 +256,10 @@ def validate_density(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> Validation
 
 def _validation_report(mat: np.ndarray, spectrum: np.ndarray, tol: float) -> ValidationReport:
     violations = []
-    herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
+    # |a_ij - conj(a_ji)| is symmetric in i and j, so each row block needs
+    # only the columns from its first row on
+    herm_dev = float(max(np.max(np.abs(mat[b, b.start:] - mat[b.start:, b].conj().T))
+                         for b in _row_blocks(len(mat))))
     if herm_dev > tol:
         violations.append(f"not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
     trace_dev = float(abs(np.trace(mat) - 1.0))
@@ -223,7 +281,7 @@ def _require_density(rho: DensityMatrix, spectrum: np.ndarray | None = None) -> 
     """Raise ValueError unless rho is a density matrix within INPUT_TOL;
     a caller that already diagonalized rho passes its eigenvalues."""
     if spectrum is None:
-        spectrum = np.linalg.eigvalsh(rho.matrix)
+        spectrum = _spectrum(rho.matrix)
     report = _validation_report(rho.matrix, spectrum, INPUT_TOL)
     if not report.ok:
         raise ValueError("invalid density matrix: " + "; ".join(report.violations))

@@ -23,6 +23,7 @@ from .core import (
     SupportError,
     _check_keep,
     _require_density,
+    _spectrum,
     partial_trace_matrix,
     pure_marginal,
 )
@@ -63,7 +64,7 @@ def _whole_entropy(state: State, check: bool = True) -> float:
     """S(rho); a density's positivity is checked on the same spectrum."""
     if isinstance(state, PureState):
         return 0.0
-    spectrum = np.linalg.eigvalsh(state.matrix)
+    spectrum = _spectrum(state.matrix)
     if check:
         _require_density(state, spectrum)
     return float(_entropy(spectrum))
@@ -218,7 +219,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise ValueError("states must share one register shape")
     svals, svecs = np.linalg.eigh(sigma.matrix)
     _require_density(sigma, svals)
-    rvals = np.linalg.eigvalsh(rho.matrix)
+    rvals = _spectrum(rho.matrix)
     _require_density(rho, rvals)
     on_support = svals > SUPPORT_TOL
     overlaps = np.real(np.einsum("ik,ij,jk->k", svecs.conj(), rho.matrix, svecs))

@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .core import DensityMatrix, RegisterShape, _frozen_complex, _require_density
+from .core import DensityMatrix, RegisterShape, _frozen_complex, _require_density, _row_blocks
 
 NORM_TOL = 1e-10
 
@@ -244,7 +244,10 @@ def random_pure(shape: RegisterShape, seed: int) -> PureState:
 
 
 def random_density(shape: RegisterShape, rank: int, seed: int) -> DensityMatrix:
-    """Random rank-limited mixture of Haar pure states, deterministic per seed."""
+    """Random rank-limited mixture of Haar pure states, deterministic per seed.
+
+    Each weighted outer product is added in row blocks, so that no D x D
+    temporary is made beside the result."""
     d = shape.dim
     if not 1 <= rank <= d:
         raise ValueError(f"rank must lie in 1..{d}, got {rank}")
@@ -254,7 +257,9 @@ def random_density(shape: RegisterShape, rank: int, seed: int) -> DensityMatrix:
     for p in weights:
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         v /= np.linalg.norm(v)
-        out += p * np.outer(v, v.conj())
+        vc = v.conj()
+        for blk in _row_blocks(d):
+            out[blk] += p * np.outer(v[blk], vc)
     return DensityMatrix(shape, out)
 
 

@@ -10,31 +10,19 @@ import totalcorr
 from totalcorr import (
     DensityMatrix,
     RegisterShape,
-    hermitian_eigenvalues,
-    kron,
     partial_trace,
     pure_marginal,
     validate_density,
 )
-from totalcorr.core import _keep_first, partial_trace_matrix
+from totalcorr.core import (
+    _certified_factor,
+    _keep_first,
+    _spectrum,
+    _validation_report,
+    partial_trace_matrix,
+)
+from totalcorr.measures import _entropy, measure_report, mutual_information, von_neumann_entropy
 from totalcorr.states import dm, epr, ghz, random_density, random_pure
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def kron_loops(a, b):
-    """Independent four-nested-loop Kronecker product."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
-
 
 def ptrace_loops(mat, dims, keep):
     """Independent index-sum partial trace."""
@@ -89,32 +77,6 @@ class TestRegisterShape:
         assert all(type(d) is int for d in dims)
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        out = kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        assert np.allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_matches_loop_oracle(self):
-        assert np.array_equal(kron(SX, SZ), kron_loops(SX, SZ))
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-
-    def test_associative(self):
-        rng = np.random.default_rng(4)
-        mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
-        left = kron(kron(mats[0], mats[1]), mats[2])
-        right = kron(mats[0], kron(mats[1], mats[2]))
-        # product reassociation shifts the last float bits only
-        assert np.max(np.abs(left - right)) < 1e-14
-
-
 class TestPartialTrace:
     def test_epr_marginal_maximally_mixed(self):
         red = partial_trace(dm(epr()), {0})
@@ -123,7 +85,7 @@ class TestPartialTrace:
     def test_product_factor_recovery(self):
         rho_a = random_density(RegisterShape((2,)), 2, seed=11)
         rho_b = random_density(RegisterShape((2,)), 2, seed=12)
-        joint = DensityMatrix(RegisterShape((2, 2)), kron(rho_a.matrix, rho_b.matrix))
+        joint = DensityMatrix(RegisterShape((2, 2)), np.kron(rho_a.matrix, rho_b.matrix))
         assert np.allclose(partial_trace(joint, {0}).matrix, rho_a.matrix, atol=1e-12)
 
     def test_ghz3_two_site_against_loop_oracle(self):
@@ -239,33 +201,6 @@ class TestPureMarginal:
         assert order == (4, 7, 0, 1, 2, 3, 5, 6, 8, 9) and dk == 4
 
 
-class TestHermitianEigenvalues:
-    def test_identity(self):
-        assert np.allclose(hermitian_eigenvalues(np.eye(2)), [1, 1])
-
-    def test_pauli_x(self):
-        assert np.allclose(hermitian_eigenvalues(SX), [-1, 1])
-
-    def test_reconstruction_oracle(self):
-        # build H with a known spectrum, check we recover it
-        rng = np.random.default_rng(9)
-        target = np.sort(rng.standard_normal(8))
-        q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-        h = q @ np.diag(target) @ q.conj().T
-        got = hermitian_eigenvalues(h)
-        assert np.max(np.abs(got - target)) < 1e-9
-
-    def test_sum_equals_trace(self):
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        h = (x + x.conj().T) / 2
-        assert abs(hermitian_eigenvalues(h).sum() - np.trace(h).real) < 1e-8 * 6
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestValidateDensity:
     def test_maximally_mixed_passes(self):
         rho = DensityMatrix(RegisterShape((2, 2)), np.eye(4) / 4)
@@ -287,6 +222,103 @@ class TestValidateDensity:
         assert vals.min() >= -1e-10
         assert vals.max() <= 1 + 1e-10
         assert abs(vals.sum() - 1) < 1e-9
+
+
+def qubit_density(n, rank, seed):
+    return random_density(RegisterShape((2,) * n), rank, seed)
+
+
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    """The matrix size of every np.linalg.eigvalsh call made during the test."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return sizes
+
+
+def perturbed(rho, eps, seed=0):
+    """rho - eps |u><u| for a random unit u, rescaled back to unit trace."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(rho.shape.dim) + 1j * rng.standard_normal(rho.shape.dim)
+    u /= np.linalg.norm(u)
+    return DensityMatrix(rho.shape, (rho.matrix - eps * np.outer(u, u.conj())) / (1 - eps))
+
+
+class TestLowRankSpectrum:
+    @pytest.mark.parametrize("n", range(6, 11))
+    @pytest.mark.parametrize("rank", range(1, 5))
+    def test_entropy_matches_dense(self, n, rank):
+        rho = qubit_density(n, rank, seed=100 * n + rank)
+        dense = _entropy(np.linalg.eigvalsh(rho.matrix))
+        assert abs(_entropy(_spectrum(rho.matrix)) - dense) < 1e-13
+
+    def test_spectrum_is_the_padded_low_rank_one(self, eigvalsh_sizes):
+        rho = qubit_density(8, 4, seed=1)
+        got = _spectrum(rho.matrix)
+        assert eigvalsh_sizes == [4]
+        assert got.shape == (256,) and np.all(np.diff(got) >= 0)
+        assert np.max(np.abs(got - np.linalg.eigvalsh(rho.matrix))) < 1e-13
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_report_makes_no_whole_state_eigvalsh(self, n, eigvalsh_sizes):
+        measure_report(qubit_density(n, 4, seed=n))
+        assert eigvalsh_sizes and max(eigvalsh_sizes) < 2 ** n
+
+    @pytest.mark.parametrize("n, rank", [(6, 64), (8, 256), (6, 5), (8, 17), (9, 33)])
+    def test_full_rank_and_rank_above_cap_reach_dense(self, n, rank, eigvalsh_sizes):
+        # the factor has at most D / 16 columns
+        rho = qubit_density(n, rank, seed=rank)
+        assert _certified_factor(rho.matrix) is None
+        measure_report(rho)
+        assert 2 ** n in eigvalsh_sizes
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_rank_at_cap_takes_factor(self, n):
+        rho = qubit_density(n, 2 ** n // 16, seed=n)
+        assert _certified_factor(rho.matrix).shape == (2 ** n, 2 ** n // 16)
+
+    def test_small_registers_reach_dense(self, eigvalsh_sizes):
+        _spectrum(qubit_density(5, 1, seed=3).matrix)
+        assert eigvalsh_sizes == [32]
+
+    @pytest.mark.parametrize("fn", [measure_report, von_neumann_entropy,
+                                    lambda rho: mutual_information(rho, (0,), (1,))])
+    def test_negative_eigenvalue_still_raises(self, fn):
+        rho = perturbed(qubit_density(8, 4, seed=5), 1e-6)
+        assert abs(np.trace(rho.matrix) - 1) < 1e-12
+        assert _certified_factor(rho.matrix) is None
+        with pytest.raises(ValueError, match="invalid density matrix: negative eigenvalue"):
+            fn(rho)
+
+    def test_tiny_negative_eigenvalue_passes_on_the_dense_path(self, eigvalsh_sizes):
+        rho = perturbed(qubit_density(8, 4, seed=5), 1e-10)
+        value = von_neumann_entropy(rho)
+        assert 256 in eigvalsh_sizes
+        measure_report(rho)
+        mutual_information(rho, (0,), (1,))
+        assert value == _entropy(np.linalg.eigvalsh(rho.matrix))
+
+    def test_anti_hermitian_perturbation_raises(self):
+        rho = qubit_density(8, 4, seed=6)
+        a = np.random.default_rng(6).standard_normal((256, 256))
+        bad = DensityMatrix(rho.shape, rho.matrix + 1e-6 * (a - a.T))
+        for fn in (measure_report, von_neumann_entropy):
+            with pytest.raises(ValueError, match="invalid density matrix: not Hermitian"):
+                fn(bad)
+
+    @pytest.mark.parametrize("d", [2, 6, 200, 256])
+    def test_hermiticity_deviation_over_blocks_is_the_full_one(self, d):
+        rng = np.random.default_rng(d)
+        mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for m in (mat, mat + mat.conj().T + 1e-9 * mat):
+            got = _validation_report(m, np.zeros(1), 1e-8).hermiticity_deviation
+            assert got == float(np.max(np.abs(m - m.conj().T)))
 
 
 def test_import_leaves_scipy_unloaded():

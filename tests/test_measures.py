@@ -214,8 +214,8 @@ class TestRelativeEntropy:
         for seed in range(5):
             psi = random_pure(qubits(2), seed=100 + seed)
             rho = dm(psi)
-            from totalcorr.core import kron, partial_trace
-            prod = kron(partial_trace(rho, {0}).matrix, partial_trace(rho, {1}).matrix)
+            from totalcorr.core import partial_trace
+            prod = np.kron(partial_trace(rho, {0}).matrix, partial_trace(rho, {1}).matrix)
             val = relative_entropy(rho, DensityMatrix(qubits(2), prod))
             assert val == pytest.approx(mutual_information(rho, {0}, {1}), abs=1e-8)
 

@@ -28,6 +28,8 @@ from totalcorr import (
     random_pure,
     roof_minimize,
 )
+from totalcorr.core import _spectrum
+from totalcorr.measures import _entropy
 
 MEASURES = {"M": measure_M, "O": measure_O, "S": measure_S, "MW": measure_MW}
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
@@ -124,3 +126,14 @@ def test_two_qubit_rank_two_roof_lands_on_formation(seed, roof_seed):
     value = roof_minimize(rho, "M", RoofConfig(restarts=8, seed=roof_seed)).value
     eof = eof_two_qubit(rho)
     assert eof - 1e-9 <= value <= eof + 5e-3
+
+
+@PROPERTY
+@given(n=st.integers(6, 9), rank=st.integers(1, 40), seed=seeds)
+def test_whole_state_spectrum_matches_dense(n, rank, seed):
+    # low rank or not, the spectrum and the entropy are the dense ones
+    rho = random_density(RegisterShape((2,) * n), rank, seed)
+    dense = np.linalg.eigvalsh(rho.matrix)
+    got = _spectrum(rho.matrix)
+    assert np.max(np.abs(got - dense)) < 1e-13
+    assert abs(_entropy(got) - _entropy(dense)) < 1e-13

@@ -182,6 +182,20 @@ class TestRandomStates:
         assert vals[2] <= 1e-10
         assert validate_density(rho).ok
 
+    @pytest.mark.parametrize("dims, rank, seed", [
+        ((2, 2), 4, 20000), ((2, 2, 2), 2, 90000), ((3,) * 5, 3, 4), ((2,) * 9, 4, 8),
+    ])
+    def test_density_bit_identical_to_one_outer_product_per_member(self, dims, rank, seed):
+        # the blockwise sum adds the same products in the same order
+        shape = RegisterShape(dims)
+        rng = np.random.default_rng(seed)
+        want = np.zeros((shape.dim,) * 2, dtype=complex)
+        for p in rng.dirichlet(np.ones(rank)):
+            v = rng.standard_normal(shape.dim) + 1j * rng.standard_normal(shape.dim)
+            v /= np.linalg.norm(v)
+            want += p * np.outer(v, v.conj())
+        assert np.array_equal(random_density(shape, rank, seed).matrix, want)
+
     def test_density_rejects_bad_rank(self):
         with pytest.raises(ValueError):
             random_density(RegisterShape((2, 2)), rank=5, seed=1)
