@@ -75,7 +75,10 @@ def cmd_measure(args) -> int:
 
 def _parse_range(spec: str) -> list[int]:
     lo, _, hi = spec.partition(":")
-    return list(range(int(lo), int(hi) + 1))
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise ValueError(f"--n-range {spec!r} has lo > hi")
+    return list(range(lo, hi + 1))
 
 
 def _x_grid(spec: str) -> list[float]:
@@ -125,6 +128,8 @@ def cmd_sweep(args) -> int:
                 lines.append(
                     ",".join([family, str(n), xcol] + [_fmt(v) for v in (*vals, rep.MW, *rel)])
                 )
+    if len(lines) == 1:
+        raise ValueError(f"no family in {families} has a size in --n-range {args.n_range!r}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

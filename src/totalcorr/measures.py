@@ -60,13 +60,12 @@ def _marginal(state: State, keep: Iterable[int]) -> np.ndarray:
     return partial_trace_matrix(state.matrix, state.shape.dims, keep)
 
 
-def _whole_entropy(state: State, check: bool = True) -> float:
+def _whole_entropy(state: State) -> float:
     """S(rho); a density's positivity is checked on the same spectrum."""
     if isinstance(state, PureState):
         return 0.0
     spectrum = _spectrum(state.matrix)
-    if check:
-        _require_density(state, spectrum)
+    _require_density(state, spectrum)
     return float(_entropy(spectrum))
 
 
@@ -76,11 +75,12 @@ def von_neumann_entropy(rho: State) -> float:
 
 
 def linear_entropy(rho: State) -> float:
-    """1 - Tr rho^2, in [0, 1 - 1/D]."""
+    """1 - Tr rho^2, in [0, 1 - 1/D]; Tr rho^2 of a Hermitian rho is the sum of
+    its squared moduli."""
     if isinstance(rho, PureState):
         return 0.0
     _require_density(rho)
-    return _linear_entropy_sum([rho.matrix])
+    return 1.0 - float(np.vdot(rho.matrix, rho.matrix).real)
 
 
 def mutual_information(state: State, a: Iterable[int], b: Iterable[int]) -> float:
@@ -125,12 +125,11 @@ def _linear_entropy_sum(reds: Iterable[np.ndarray]) -> float:
     return total
 
 
-def _marginal_pass(state: State, with_pairs: bool = True,
-                   check: bool = True) -> tuple[list[np.ndarray], dict]:
+def _marginal_pass(state: State, with_pairs: bool = True) -> tuple[list[np.ndarray], dict]:
     """Single-site matrices and the correlations, from one pass over the marginals.
 
-    Pair marginals are skipped without `with_pairs`, for O alone. `check`
-    rejects a density that is not Hermitian, unit-trace and positive.
+    Pair marginals are skipped without `with_pairs`, for O alone. A density
+    that is not Hermitian, unit-trace and positive is rejected.
     """
     n = state.shape.nsites
     subsets = [(i,) for i in range(n)]
@@ -141,14 +140,14 @@ def _marginal_pass(state: State, with_pairs: bool = True,
     reds = [_marginal(state, keep) for keep in subsets]
     entropies = _entropies(reds)
     pairs = dict(zip(subsets[n:], entropies[n:]))
-    return reds[:n], _correlations(entropies[:n], pairs, _whole_entropy(state, check))
+    return reds[:n], _correlations(entropies[:n], pairs, _whole_entropy(state))
 
 
-def _direct(state: State, name: str, check: bool = True) -> float:
+def _direct(state: State, name: str) -> float:
     """Direct value of M, O, S or MW from one marginal pass."""
     if name != "MW":
-        return _marginal_pass(state, name != "O", check)[1][name]
-    if check and isinstance(state, DensityMatrix):
+        return _marginal_pass(state, name != "O")[1][name]
+    if isinstance(state, DensityMatrix):
         _require_density(state)
     return _linear_entropy_sum(_marginal(state, (i,)) for i in range(state.shape.nsites))
 

@@ -1,19 +1,23 @@
 """Convex-roof extension of the pure-state measures to mixed states.
 
 The minimization runs over decompositions generated by m x r isometries
-acting on the eigen-ensemble of the state (ensemble steering). The pure
-roof runs Riemannian conjugate gradient on the isometry, driven by the
-closed-form gradient of the members' marginal entropies, with an Armijo
-line search that backtracks by safeguarded quadratic interpolation. Its
-restarts run in lock step as one batch on a leading axis: each objective
-evaluation covers the member rows of every restart still searching, in
-consecutive groups of restarts of at most ROW_BUDGET rows, so memory
-grows with restarts x members x dimension up to that budget. Its value is
-the returned members' weighted average, from one batched evaluation of
-the normalized members. The mixed roof searches complex plane rotations
-on pairs of members, grouped into mixtures, one restart after another.
-Restart k is seeded base seed + k whether it runs alone or in a batch, so
-results are bit-identical for a fixed config.
+acting on the eigen-ensemble of the state (ensemble steering). Riemannian
+conjugate gradient runs on the isometry, driven by the closed-form
+gradient of the members' marginal entropies, with an Armijo line search
+that backtracks by safeguarded quadratic interpolation. Restarts run in
+lock step as one batch on a leading axis: each objective evaluation
+covers the member rows of every restart still searching, in consecutive
+groups of restarts of at most ROW_BUDGET rows, so memory grows with
+restarts x members x dimension up to that budget.
+
+The pure roof takes each member row as one pure state; its value is the
+returned members' weighted average, from one batched evaluation of the
+normalized members. The mixed roof (Uhlmann, "Roofs and convexity",
+Entropy 12, 1799 (2010)) runs the same optimizer on groups of g
+consecutive rows, each group one mixed member, for g = 2..r, and returns
+the best of these, the pure roof and the state itself. Restart k is
+seeded base seed + k whether it runs alone or in a batch, so results are
+bit-identical for a fixed config.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .core import (
     _keep_first,
     _require_density,
 )
-from .measures import EIG_CLAMP, _correlations, _direct, direct_measure
+from .measures import EIG_CLAMP, _correlations, direct_measure
 from .states import Ensemble, PureState, State, as_density, flagged_mixture
 
 RANK_TOL = 1e-10
@@ -52,11 +56,9 @@ class RoofConfig:
     """Knobs for the decomposition search.
 
     ensemble_size defaults to r^2 where r is the rank of the input.
-    For the pure roof, max_iterations counts line searches, and a restart
-    stops converged once a line search lowers the ensemble average by
-    less than tolerance or the average drops below it. For the mixed roof
-    an iteration is one sweep of pair rotations, and tolerance is the
-    sweep gain under which the rotation angle shrinks.
+    max_iterations counts line searches, and a restart stops converged
+    once a line search lowers the ensemble average by less than tolerance
+    or the average drops below it.
     """
 
     ensemble_size: int | None = None
@@ -137,14 +139,18 @@ def _ensemble(members) -> Ensemble:
 # --- batched objective -------------------------------------------------
 
 @functools.cache
-def _cuts(dims: tuple[int, ...], measure: str) -> tuple[tuple[tuple[int, ...], float], ...]:
-    """(kept sites, coefficient) of each marginal term of the pure-member measure.
+def _cuts(dims: tuple[int, ...], measure: str,
+          grouped: bool = False) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """(kept sites, coefficient) of each marginal term of the member measure.
 
     The entropy coefficients come from `_correlations` fed with unit
-    vectors. A pure member has S(K) = S(K-bar) and Tr rho_K^2 = Tr rho_K-bar^2,
-    so each term is moved to the side of its cut with the smaller
-    dimension (ties to the lexicographically smaller set), terms on one
-    cut are merged, and a cut with an empty side drops out.
+    vectors, one of them for the whole-register term. A pure member has
+    S(K) = S(K-bar) and Tr rho_K^2 = Tr rho_K-bar^2, so each term is moved
+    to the side of its cut with the smaller dimension (ties to the
+    lexicographically smaller set), and a cut with an empty side, the
+    whole register among them, drops out. A `grouped` (mixed) member has
+    neither symmetry, so each term stays on its own side. Terms on one
+    set of kept sites are merged.
     """
     n = len(dims)
     singles = [(i,) for i in range(n)]
@@ -152,36 +158,43 @@ def _cuts(dims: tuple[int, ...], measure: str) -> tuple[tuple[tuple[int, ...], f
         terms = [(keep, 1.0) for keep in singles]
     else:
         pairs = list(combinations(range(n), 2))
-        basis = np.eye(n + len(pairs))
-        coef = _correlations(basis[:n], dict(zip(pairs, basis[n:])), 0.0)[measure]
-        terms = zip(singles + pairs, coef)
+        basis = np.eye(n + len(pairs) + 1)
+        coef = _correlations(basis[:n], dict(zip(pairs, basis[n:-1])), basis[-1])[measure]
+        terms = zip(singles + pairs + [tuple(range(n))], coef)
     merged: dict[tuple[int, ...], float] = {}
     for keep, c in terms:
         rest = tuple(i for i in range(n) if i not in keep)
-        side = min(keep, rest, key=lambda s: (math.prod(dims[i] for i in s), s))
+        side = keep if grouped else min(
+            keep, rest, key=lambda s: (math.prod(dims[i] for i in s), s))
         if side and c:
             merged[side] = merged.get(side, 0.0) + float(c)
     return tuple(merged.items())
 
 
 @functools.cache
-def _cut_groups(dims: tuple[int, ...], measure: str) -> tuple[tuple, ...]:
-    """The cuts of `_cuts` grouped by marginal dimension dk.
+def _cut_groups(dims: tuple[int, ...], measure: str, group: int) -> tuple[tuple, ...]:
+    """The cuts of `_cuts` for members of `group` rows, grouped by marginal
+    dimension dk.
 
-    Each group is (dk, coefficients, order, inverse): row c of `order` lists
-    the basis indices with the kept sites of cut c leading, so that a member
-    row gathered by it reshapes to dk x (D / dk), and `inverse` takes the
-    gathered rows of all cuts, laid end to end, back to register order.
+    Each group is (dk, coefficients, order, inverse). A member's rows are
+    laid end to end, and row c of `order` lists the indices into them with
+    the kept sites of cut c leading, so that a member gathered by it
+    reshapes to dk x (group * D / dk): its rows' keep-first reshapes side
+    by side. `inverse` takes the gathered members of all cuts, laid end to
+    end, back to register order.
     """
-    index = np.arange(math.prod(dims)).reshape(dims)
+    dim = math.prod(dims)
+    index = np.arange(dim).reshape(dims)
     groups: dict[int, list] = {}
-    for keep, coef in _cuts(dims, measure):
+    for keep, coef in _cuts(dims, measure, group > 1):
         axes, dk = _keep_first(dims, keep)
-        groups.setdefault(dk, []).append((coef, index.transpose(axes).reshape(-1)))
+        order = index.transpose(axes).reshape(dk, 1, -1) + dim * np.arange(group)[:, None]
+        groups.setdefault(dk, []).append((coef, order.reshape(-1)))
     out = []
     for dk, cuts in groups.items():
         coefs, orders = np.array([c for c, _ in cuts]), np.stack([o for _, o in cuts])
-        inverse = (np.argsort(orders, axis=1) + index.size * np.arange(len(cuts))[:, None]).ravel()
+        size = orders.shape[1]
+        inverse = (np.argsort(orders, axis=1) + size * np.arange(len(cuts))[:, None]).ravel()
         for arr in (coefs, orders, inverse):
             arr.setflags(write=False)
         out.append((dk, coefs, orders, inverse))
@@ -227,27 +240,32 @@ def _qubit_entropy_terms(f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.n
     return -(lo * log_lo + hi * log_hi), -g
 
 
-def _pure_values(W: np.ndarray, dims: tuple[int, ...],
-                 measure: str) -> tuple[np.ndarray, np.ndarray]:
-    """Contributions p_j * T(psi_j) of the unnormalized member rows W, and
-    the gradient of their sum with respect to conj(W).
+def _pure_values(W: np.ndarray, dims: tuple[int, ...], measure: str,
+                 group: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Contributions p_j * T(rho_j) of the members made of each `group`
+    consecutive unnormalized rows of W, and the gradient of their sum with
+    respect to conj(W).
 
-    An entropy term p S(rho_K / p) has gradient -(log2(rho_K / p) x 1) w,
-    with log 0 on eigenvalues under EIG_CLAMP; a linear-entropy term
-    p - Tr(rho_K^2) / p has gradient w - (2 rho_K w - Tr(rho_K^2) w / p) / p.
-    All cuts of one marginal dimension run as one stack of rows: 2 x 2
-    marginals in closed form, larger ones through one eigh. Every row is
-    computed on its own, so a row's numbers do not depend on the others.
-    A row of weight at most 1e-14 is dead: its value and gradient are 0.
+    A member's marginal rho_K = sum_w Tr_K-bar w w^dag is f f^dag for its
+    rows' keep-first reshapes f laid side by side, and p is the sum of the
+    rows' weights; a member of one row is pure. An entropy term
+    p S(rho_K / p) has gradient -(log2(rho_K / p) x 1) w, with log 0 on
+    eigenvalues under EIG_CLAMP; a linear-entropy term p - Tr(rho_K^2) / p
+    has gradient w - (2 rho_K w - Tr(rho_K^2) w / p) / p. All cuts of one
+    marginal dimension run as one stack: 2 x 2 marginals in closed form,
+    larger ones through one eigh. Every member is computed on its own, so
+    its numbers do not depend on the others. A member of weight at most
+    1e-14 is dead: its value and gradient are 0.
     """
-    m, d = W.shape
-    p = np.einsum("md,md->m", W, W.conj()).real
+    members = W.reshape(-1, group * W.shape[1])
+    k = len(members)
+    p = np.einsum("kd,kd->k", members, members.conj()).real
     live = p > 1e-14
-    values = np.zeros(m)
-    grad = np.zeros_like(W)
-    for dk, coefs, order, inverse in _cut_groups(dims, measure):
+    values = np.zeros(k)
+    grad = np.zeros_like(members)
+    for dk, coefs, order, inverse in _cut_groups(dims, measure, group):
         c = len(coefs)
-        flat = W[:, order].reshape(m * c, dk, -1)
+        flat = members[:, order].reshape(k * c, dk, -1)
         ps = np.repeat(np.where(live, p, 1.0), c)
         if measure == "MW":
             rho = flat @ flat.conj().transpose(0, 2, 1)
@@ -262,57 +280,13 @@ def _pure_values(W: np.ndarray, dims: tuple[int, ...],
             logs = _log2_clamped(lam)
             terms = -(lam * logs).sum(axis=1)
             g = -((U * logs[:, None, :]) @ (U.conj().transpose(0, 2, 1) @ flat))
-        values += p * (terms.reshape(m, c) * coefs).sum(axis=1)
-        g = g.reshape(m, c, d) * coefs[:, None]
-        grad += g.reshape(m, c * d)[:, inverse].reshape(m, c, d).sum(axis=1)
-    return np.where(live, values, 0.0), np.where(live[:, None], grad, 0.0)
-
-
-def _chunks(m: int, k: int) -> list[list[int]]:
-    base, extra = divmod(m, k)
-    out, start = [], 0
-    for g in range(k):
-        size = base + (1 if g < extra else 0)
-        out.append(list(range(start, start + size)))
-        start += size
-    return out
-
-
-def _chunk_mixtures(shape: RegisterShape, W: np.ndarray, k: int, min_weight: float):
-    """(weight, normalized mixture) of each of k contiguous row chunks of W."""
-    for chunk in _chunks(W.shape[0], k):
-        rho = W[chunk].T @ W[chunk].conj()
-        pg = float(np.real(np.trace(rho)))
-        if pg >= min_weight:
-            yield pg, DensityMatrix(shape, rho / pg)
-
-
-def _mixed_total(W: np.ndarray, dims: tuple[int, ...], measure: str) -> tuple[float, int]:
-    """Objective over member groupings: best (value, k) over k = 1..m chunkings."""
-    m = W.shape[0]
-    shape = RegisterShape(dims)
-    best_val = float(_pure_values(W, dims, measure)[0].sum())
-    best_k = m
-    for k in range(1, m):
-        total = 0.0
-        for pg, rho in _chunk_mixtures(shape, W, k, 1e-14):
-            # a mixture of the rows is a density by construction: not validated in the loop
-            total += pg * _direct(rho, measure, check=False)
-        if total < best_val:
-            best_val, best_k = total, k
-    return best_val, best_k
+        values += p * (terms.reshape(k, c) * coefs).sum(axis=1)
+        g = g.reshape(k, c, -1) * coefs[:, None]
+        grad += g.reshape(k, -1)[:, inverse].reshape(k, c, -1).sum(axis=1)
+    return np.where(live, values, 0.0), np.where(live[:, None], grad, 0.0).reshape(W.shape)
 
 
 # --- optimizer ---------------------------------------------------------
-
-_PHIS = (0.0, math.pi / 2)
-
-
-def _rotated_rows(wa: np.ndarray, wb: np.ndarray, theta: float, phi: float):
-    c, s = math.cos(theta), math.sin(theta)
-    ph = complex(math.cos(phi), math.sin(phi))
-    return c * wa + ph * s * wb, -np.conj(ph) * s * wa + c * wb
-
 
 def _retract(X: np.ndarray) -> np.ndarray:
     """Q of each X = QR with the phases fixed so that R has a positive diagonal."""
@@ -339,14 +313,15 @@ def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X.conj().reshape(k, 1, n) @ Y.reshape(k, n, 1))[:, 0, 0].real
 
 
-def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig):
+def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
     """Restarts seeded by `seeds`, run in lock step: Riemannian Polak-Ribiere+
-    conjugate gradient on a stack of m x r isometries V[k], with members
-    W = V[k] A. An iteration is one Armijo line search along the retraction;
-    a restart stops, converged, once a step gains less than the tolerance or
-    the total drops below it, and leaves the batch. Each evaluation is one
-    `_pure_values` call on the rows of the restarts still searching, and
-    every restart takes the steps it would take alone.
+    conjugate gradient on a stack of m x r isometries V[k], with member rows
+    W = V[k] A, `group` rows to a member. An iteration is one Armijo line
+    search along the retraction; a restart stops, converged, once a step
+    gains less than the tolerance or the total drops below it, and leaves
+    the batch. Each evaluation is one `_pure_values` call on the rows of the
+    restarts still searching, and every restart takes the steps it would
+    take alone.
 
     The line search backtracks by safeguarded quadratic interpolation
     (Nocedal and Wright, Numerical Optimization, section 3.5): a failed trial
@@ -363,8 +338,8 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig):
 
     def evaluate(V):
         # totals, and the gradient with respect to conj(W), not yet projected
-        vals, G = _pure_values((V @ A).reshape(-1, d), dims, measure)
-        return vals.reshape(len(V), m).sum(axis=1), G.reshape(len(V), m, d)
+        vals, G = _pure_values((V @ A).reshape(-1, d), dims, measure, group)
+        return vals.reshape(len(V), -1).sum(axis=1), G.reshape(len(V), m, d)
 
     def start_line_search(idx):
         # the derivative of the total along a direction D is 2 Re <grad, D>
@@ -425,53 +400,45 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig):
     return total, V @ A, converged
 
 
-def _optimize_restart_mixed(A, dims, measure, m, rng, cfg: RoofConfig):
-    r = A.shape[0]
-    X = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-    V, _ = np.linalg.qr(X)
-    W = V @ A
-    total, _ = _mixed_total(W, dims, measure)
-    pairs = list(combinations(range(m), 2))
-    iters = 0
-    scale = math.pi / 4
-    prev_gain = math.inf
-    converged = False
-    while iters < cfg.max_iterations:
-        iters += 1
-        sweep_gain = 0.0
-        for idx in rng.permutation(len(pairs)):
-            a, b = pairs[idx]
-            best_gain = 0.0
-            best_rows = None
-            for f in (1.0, -1.0):
-                for phi in _PHIS:
-                    na, nb = _rotated_rows(W[a], W[b], scale * f, phi)
-                    W2 = W.copy()
-                    W2[a], W2[b] = na, nb
-                    val, _ = _mixed_total(W2, dims, measure)
-                    if total - val > best_gain:
-                        best_gain, best_rows = total - val, (na, nb)
-            if best_rows is not None:
-                W[a], W[b] = best_rows
-                total -= best_gain
-                sweep_gain += best_gain
-        if sweep_gain < max(cfg.tolerance, 0.25 * prev_gain):
-            scale *= 0.4
-            if scale < 2e-3:
-                converged = True
-                break
-        prev_gain = sweep_gain
-    return total, W, converged
+def _best_run(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
+    """Totals of the restarts seeded by `seeds` on m member rows, `group` rows
+    to a member, and the rows and converged flag of the best restart. The
+    restarts run in batches of at most ROW_BUDGET rows."""
+    batch = max(1, ROW_BUDGET // m)
+    per_restart, best = [], None
+    for start in range(0, len(seeds), batch):
+        runs = _optimize_pure(A, dims, measure, m, seeds[start:start + batch], cfg, group)
+        for value, W, converged in zip(*runs):
+            per_restart.append(float(value))
+            if best is None or value < best[0]:
+                best = (float(value), W, bool(converged))
+    return tuple(per_restart), best[1], best[2]
+
+
+def _group_members(shape: RegisterShape, W: np.ndarray, group: int):
+    """(weight, normalized mixture) of each `group` consecutive rows of W that
+    carry weight."""
+    for rows in W.reshape(-1, group, W.shape[1]):
+        rho = rows.T @ rows.conj()
+        p = float(np.real(np.trace(rho)))
+        if p >= WEIGHT_DROP:
+            yield p, DensityMatrix(shape, rho / p)
 
 
 def roof_minimize(rho: State, measure: str, config: RoofConfig | None = None) -> RoofResult:
     """Minimize the ensemble-averaged measure over decompositions of rho.
 
+    The pure roof decomposes rho into m pure members. The mixed roof
+    returns the lowest of three candidates: rho itself as its one member
+    (the direct value), the pure roof, and for each g = 2..r a
+    decomposition into max(m // g, r) mixed members of g rows each; the
+    winner supplies `per_restart_values` and `converged`.
+
     Returns an upper bound on the true convex roof; the reported value is
     exactly the ensemble average of the returned decomposition. Restarts
-    are seeded as base seed + restart index, and a pure-roof restart takes
-    the same steps in a batch as alone, so the result is deterministic for
-    a fixed config.
+    are seeded as base seed + restart index, and a restart takes the same
+    steps in a batch as alone, so the result is deterministic for a fixed
+    config.
     """
     if measure not in MEASURE_NAMES:
         raise ValueError(f"measure must be one of {MEASURE_NAMES}")
@@ -497,48 +464,33 @@ def roof_minimize(rho: State, measure: str, config: RoofConfig | None = None) ->
         raise ValueError(f"ensemble_size must be >= rank ({r}), got {m}")
     A = _eigen_rows(lam, vecs, r)
     seeds = [cfg.seed + k for k in range(cfg.restarts)]
+    per_restart, W, converged = _best_run(A, shape.dims, measure, m, seeds, cfg, 1)
+    ensemble = _ensemble(_row_members(shape, W))
+    amps = np.array([member.amplitudes for member in ensemble.members])
+    final = np.dot(ensemble.weights, _pure_values(amps, shape.dims, measure)[0])
+    pure = RoofResult(float(final), ensemble, per_restart, converged)
     if cfg.strategy == "pure_roof":
-        group = max(1, ROW_BUDGET // m)
-        runs = (
-            run
-            for g in range(0, len(seeds), group)
-            for run in zip(*_optimize_pure(A, shape.dims, measure, m, seeds[g:g + group], cfg))
-        )
-    else:
-        runs = (
-            _optimize_restart_mixed(A, shape.dims, measure, m, np.random.default_rng(seed), cfg)
-            for seed in seeds
-        )
+        return pure
 
-    per_restart = []
-    best = None
-    for value, W, converged in runs:
-        per_restart.append(float(value))
-        if best is None or value < best[0]:
-            best = (float(value), W, bool(converged))
-
-    _, best_w, best_conv = best
-    members = _row_members(shape, best_w)
-    if cfg.strategy == "mixed_roof":
-        _, best_k = _mixed_total(best_w, shape.dims, measure)
-        if best_k < m:
-            members = _chunk_mixtures(shape, best_w, best_k, WEIGHT_DROP)
-    ensemble = _ensemble(members)
-    if cfg.strategy == "pure_roof":
-        amps = np.array([member.amplitudes for member in ensemble.members])
-        final = np.dot(ensemble.weights, _pure_values(amps, shape.dims, measure)[0])
-    else:
+    value = direct_measure(rho, measure)
+    candidates = [RoofResult(value, Ensemble((1.0,), (rho,)), (value,), True), pure]
+    for g in range(2, r + 1):
+        rows = g * max(m // g, r)
+        per_restart, W, converged = _best_run(A, shape.dims, measure, rows, seeds, cfg, g)
+        ensemble = _ensemble(_group_members(shape, W, g))
         final = sum(
             p * direct_measure(member, measure)
             for p, member in zip(ensemble.weights, ensemble.members)
         )
-    return RoofResult(float(final), ensemble, tuple(per_restart), best_conv)
+        candidates.append(RoofResult(float(final), ensemble, per_restart, converged))
+    return min(candidates, key=lambda res: res.value)
 
 
 def eof_two_qubit(rho: DensityMatrix) -> float:
     """Entanglement of Formation of a two-qubit state via the concurrence."""
     if rho.shape.dims != (2, 2):
         raise ValueError("requires a two-qubit state")
+    _require_density(rho)
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     yy = np.kron(sy, sy)
     spin_flipped = yy @ rho.matrix.conj() @ yy

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from totalcorr import DensityMatrix, RegisterShape, random_pure, save_state
+from totalcorr import DensityMatrix, RegisterShape, random_density, random_pure, save_state
 from totalcorr.cli import main
 
 
@@ -147,6 +147,18 @@ class TestSweepCommand:
         ns = [line.split(",")[1] for line in out.strip().split("\n")[1:]]
         assert ns == ["4", "6"]
 
+    @pytest.mark.parametrize("families, n_range", [
+        (["ghz"], "5:3"),  # lo > hi
+        (["ghz"], "0:1"),  # no size a family allows
+        (["cluster"], "3:3"),  # cluster states have even sizes only
+    ])
+    def test_sweep_without_rows_is_usage_error(self, capsys, families, n_range):
+        family_args = [arg for family in families for arg in ("--family", family)]
+        code, out, err = run(capsys, "sweep", *family_args, "--n-range", n_range)
+        assert code == 2
+        assert out == ""
+        assert "--n-range" in err
+
     def test_byte_determinism(self, capsys):
         _, first, _ = run(capsys, "sweep", "--family", "ghz", "--n-range", "2:5")
         _, second, _ = run(capsys, "sweep", "--family", "ghz", "--n-range", "2:5")
@@ -172,6 +184,18 @@ class TestRoofCommand:
         assert code == 0
         # pure inputs short-circuit to a single trivial decomposition
         assert len(json.loads(out)["per_restart_values"]) == 1
+
+
+    def test_mixed_roof_members_are_density_matrices(self, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        save_state(random_density(RegisterShape((2, 2)), 3, seed=7), path)
+        code, out, _ = run(capsys, "roof", "--file", str(path), "--strategy", "mixed_roof",
+                           "--restarts", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["value"] < 0.0068  # below the pure roof of this state
+        assert all(len(member) == 4 and len(member[0]) == 4
+                   for member in doc["ensemble"]["members"])
 
 
 class TestVerifyCommand:

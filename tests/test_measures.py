@@ -81,6 +81,14 @@ class TestEntropies:
         rho = DensityMatrix(qubits(1), np.diag([0.75, 0.25]))
         assert linear_entropy(rho) == pytest.approx(0.375)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_linear_entropy_matches_trace_of_square(self, n):
+        # the sum of squared moduli against Tr(rho rho) from the full product
+        for rank in (1, 4, 2**n):
+            rho = random_density(qubits(n), rank, seed=10 * n + rank)
+            old = 1.0 - np.trace(rho.matrix @ rho.matrix).real
+            assert abs(linear_entropy(rho) - old) <= 1e-14
+
 
 class TestMutualInformation:
     def test_epr(self):

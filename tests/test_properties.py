@@ -1,4 +1,4 @@
-"""Property tests of the measures and the pure roof.
+"""Property tests of the measures and the roofs.
 
 Hypothesis draws seeds and register shapes; the states come from the
 package's seeded constructors. `derandomize=True` fixes the examples, so
@@ -23,6 +23,7 @@ from totalcorr import (
     measure_O,
     measure_S,
     measure_S_form2,
+    mix,
     product,
     random_density,
     random_pure,
@@ -30,6 +31,7 @@ from totalcorr import (
 )
 from totalcorr.core import _spectrum
 from totalcorr.measures import _entropy
+from totalcorr.states import as_density
 
 MEASURES = {"M": measure_M, "O": measure_O, "S": measure_S, "MW": measure_MW}
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
@@ -126,6 +128,34 @@ def test_two_qubit_rank_two_roof_lands_on_formation(seed, roof_seed):
     value = roof_minimize(rho, "M", RoofConfig(restarts=8, seed=roof_seed)).value
     eof = eof_two_qubit(rho)
     assert eof - 1e-9 <= value <= eof + 5e-3
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(
+    dims=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=3).map(tuple),
+    rank=st.integers(2, 3),
+    seed=seeds,
+    measure=st.sampled_from(sorted(MEASURES)),
+)
+def test_mixed_roof_bounded_by_direct_and_pure_roof(dims, rank, seed, measure):
+    # the state itself and the pure roof are two of the mixed roof's
+    # candidates, so it can only undercut them; its value is the average of
+    # the direct measure over the ensemble it returns, which mixes to rho
+    rho = random_density(RegisterShape(dims), rank, seed)
+    cfg = RoofConfig(restarts=4, strategy="mixed_roof")
+    res = roof_minimize(rho, measure, cfg)
+    fn = MEASURES[measure]
+    pure = roof_minimize(rho, measure, RoofConfig(restarts=4)).value
+    assert res.value <= min(fn(rho), pure) + 1e-12
+    average = sum(p * fn(member) for p, member in zip(res.ensemble.weights, res.ensemble.members))
+    assert abs(res.value - average) <= 1e-10
+    assert np.max(np.abs(mix(res.ensemble).matrix - rho.matrix)) <= 1e-10
+    again = roof_minimize(rho, measure, cfg)
+    assert (again.value, again.per_restart_values, again.converged) == (
+        res.value, res.per_restart_values, res.converged)
+    assert again.ensemble.weights == res.ensemble.weights
+    for a, b in zip(again.ensemble.members, res.ensemble.members):
+        assert np.array_equal(as_density(a).matrix, as_density(b).matrix)
 
 
 @PROPERTY

@@ -117,13 +117,13 @@ class TestRoofMinimize:
         assert a.value == b.value
         assert a.per_restart_values == b.per_restart_values
 
-    def test_mixed_strategy_not_above_pure(self):
-        rho = random_density(Q2, 2, seed=40)
-        pure = roof_minimize(rho, "M", RoofConfig(restarts=3, seed=1))
-        mixed = roof_minimize(
-            rho, "M", RoofConfig(restarts=3, seed=1, strategy="mixed_roof")
-        )
-        assert mixed.value <= pure.value + 1e-6
+    def test_mixed_roof_two_qubit_rank_three(self):
+        # the grouped optimum, three mixed members of three rows each, sits
+        # below both the pure roof (0.00675) and the direct value (0.208)
+        rho = random_density(Q2, 3, seed=7)
+        res = roof_minimize(rho, "M", RoofConfig(strategy="mixed_roof"))
+        assert res.value <= 0.00628
+        assert all(isinstance(member, DensityMatrix) for member in res.ensemble.members)
 
     def test_dimension_cap(self):
         rho = random_density(Q2, 2, seed=41)
@@ -250,6 +250,11 @@ class TestAgainstFormationOracle:
         with pytest.raises(ValueError):
             eof_two_qubit(dm(ghz(3)))
 
+    def test_eof_rejects_invalid_density(self):
+        not_psd = DensityMatrix(Q2, np.diag([0.7, 0.5, -0.1, -0.1]))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            eof_two_qubit(not_psd)
+
     def test_roof_tracks_eof_on_werner(self):
         # two-qubit pure members have M = entanglement entropy, so the
         # M-roof should land on the closed-form formation value
@@ -288,6 +293,14 @@ class TestDerivedChecks:
         )
         assert abs(gap) < 5e-3
 
+    def test_derived_checks_run_on_the_mixed_roof(self):
+        # both checks pass their config to every roof they take; the mixed
+        # roof keeps the flags and additivity identities on these inputs
+        cfg = RoofConfig(restarts=4, seed=7, strategy="mixed_roof")
+        e = Ensemble((0.5, 0.5), (epr(), product([KET0, KET0])))
+        assert flags_residual(e, "M", cfg) < 5e-3
+        assert abs(roof_additivity_gap(dm(epr()), classically_correlated(), "M", cfg)) < 5e-3
+
 
 class TestBatchedObjective:
     # (2, 3) and (3, 2, 2) have cuts of unequal sides, taken on the smaller one
@@ -321,21 +334,52 @@ class TestBatchedObjective:
             (0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3)
         ]
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 3), (2, 2, 2, 2)])
-    @pytest.mark.parametrize("measure", ["M", "O", "S", "MW"])
-    def test_gradient_matches_central_differences(self, dims, measure):
+    @staticmethod
+    def check_slopes(W, dims, measure, group=1):
         # G is the gradient with respect to conj(W), so the slope of the
         # total along a direction E is 2 Re <G, E>
-        W = self.rows(dims, 100 + len(dims))
-        _, G = _pure_values(W, dims, measure)
+        _, G = _pure_values(W, dims, measure, group)
         rng = np.random.default_rng(7)
         h = 1e-5
         for _ in range(3):
             E = rng.standard_normal(W.shape) + 1j * rng.standard_normal(W.shape)
-            plus = _pure_values(W + h * E, dims, measure)[0].sum()
-            minus = _pure_values(W - h * E, dims, measure)[0].sum()
+            plus = _pure_values(W + h * E, dims, measure, group)[0].sum()
+            minus = _pure_values(W - h * E, dims, measure, group)[0].sum()
             slope = 2 * np.vdot(G, E).real
             assert (plus - minus) / (2 * h) == pytest.approx(slope, rel=1e-6)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 3), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("measure", ["M", "O", "S", "MW"])
+    def test_gradient_matches_central_differences(self, dims, measure):
+        self.check_slopes(self.rows(dims, 100 + len(dims)), dims, measure)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 3), (3, 2, 2)])
+    @pytest.mark.parametrize("measure", ["M", "O", "S", "MW"])
+    @pytest.mark.parametrize("group", [2, 3])
+    def test_grouped_rows_match_direct_measure(self, dims, measure, group):
+        # each `group` consecutive rows mix into one member, whose value is
+        # its weight times the direct measure of the normalized mixture
+        W = self.rows(dims, len(dims))
+        got, _ = _pure_values(W, dims, measure, group)
+        assert got.shape == (len(W) // group,)
+        for k, rows in enumerate(W.reshape(-1, group, W.shape[1])):
+            rho = rows.T @ rows.conj()
+            p = np.trace(rho).real
+            member = DensityMatrix(RegisterShape(dims), rho / p)
+            assert got[k] == pytest.approx(p * direct_measure(member, measure), abs=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 3)])
+    @pytest.mark.parametrize("measure", ["M", "O", "S", "MW"])
+    def test_grouped_gradient_matches_central_differences(self, dims, measure):
+        self.check_slopes(self.rows(dims, 200 + len(dims)), dims, measure, group=3)
+
+    def test_grouped_terms_stay_on_their_side(self):
+        # a mixed member has S(K) != S(K-bar) and a nonzero S(rho), so no
+        # term moves across its cut and O and S keep the whole-register term
+        assert _cuts((2, 2), "M", True) == (((0,), 0.5), ((1,), 0.5), ((0, 1), -0.5))
+        assert _cuts((2, 3), "O", True) == (((0,), 0.5), ((1,), 0.5), ((0, 1), -0.5))
+        assert _cuts((2, 2, 2), "MW", True) == (((0,), 1.0), ((1,), 1.0), ((2,), 1.0))
+        assert _cuts((2, 2, 2), "O", True)[-1] == ((0, 1, 2), -0.5)
 
     @staticmethod
     def edge_rows(dims, seed):
