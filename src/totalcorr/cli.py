@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import measures, roof, states
-from .core import RegisterShape, ResourceLimitError, partial_trace
-from .states import PureState
+from .core import ResourceLimitError, partial_trace
+from .states import PureState, _qubits
 
 SWEEP_HEADER = "family,n,x,O,M,S,MW,O_rel,M_rel,S_rel"
 
@@ -165,10 +165,6 @@ def cmd_roof(args) -> int:
 
 # --- verification suites ----------------------------------------------
 
-def _qubits(n: int) -> RegisterShape:
-    return RegisterShape((2,) * n)
-
-
 class _Suite:
     def __init__(self):
         self.lines: list[str] = []
@@ -315,11 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", default=None)
-
     def add_state_source(p):
         p.add_argument("--state", choices=sorted(states.FAMILIES), default=None)
         p.add_argument("--n", type=int, default=None)
@@ -327,12 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--file", default=None)
 
     p = sub.add_parser("measure", help="evaluate all measures on one state")
-    add_common(p)
     add_state_source(p)
+    p.add_argument("--output", default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("sweep", help="emit CSV rows over a family grid")
-    add_common(p)
+    p.add_argument("--output", default=None)
     p.add_argument("--family", action="append", choices=sorted(states.FAMILIES))
     p.add_argument("--n-range", default="2:12")
     p.add_argument("--x-grid", default="0:1:0.05")
@@ -340,18 +332,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep, ghz_norm=True)
 
     p = sub.add_parser("roof", help="convex-roof minimization for one state")
-    add_common(p)
     add_state_source(p)
-    p.add_argument("--measure", choices=roof.MEASURE_NAMES, default="M")
-    p.add_argument("--strategy", choices=roof.STRATEGIES, default="pure_roof")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--max-iterations", type=int, default=2000)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--ensemble-size", type=int, default=None)
+    p.add_argument("--output", default=None)
+    defaults = roof.RoofConfig()
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--measure", choices=measures.MEASURE_NAMES, default="M")
+    p.add_argument("--strategy", choices=roof.STRATEGIES, default=defaults.strategy)
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
+    p.add_argument("--max-iterations", type=int, default=defaults.max_iterations)
+    p.add_argument("--tolerance", type=float, default=defaults.tolerance)
+    p.add_argument("--ensemble-size", type=int, default=defaults.ensemble_size)
     p.set_defaults(func=cmd_roof)
 
     p = sub.add_parser("verify", help="run a numeric verification suite")
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--trials", type=int, default=None)
     p.set_defaults(func=cmd_verify)

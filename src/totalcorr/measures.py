@@ -32,6 +32,7 @@ from .states import PureState, State, as_density
 EIG_CLAMP = 1e-12
 SUPPORT_TOL = 1e-10
 SUBSET_SUM_MAX_SITES = 12
+MEASURE_NAMES = ("M", "O", "S", "MW")
 
 
 def _entropy(spectra: np.ndarray) -> np.ndarray:
@@ -60,27 +61,22 @@ def _marginal(state: State, keep: Iterable[int]) -> np.ndarray:
     return partial_trace_matrix(state.matrix, state.shape.dims, keep)
 
 
-def _whole_entropy(state: State) -> float:
-    """S(rho); a density's positivity is checked on the same spectrum."""
-    if isinstance(state, PureState):
+def von_neumann_entropy(rho: State) -> float:
+    """S(rho) = -Tr rho log2 rho; eigenvalues below the clamp contribute 0.
+    A density's positivity is checked on the same spectrum."""
+    if isinstance(rho, PureState):
         return 0.0
-    spectrum = _spectrum(state.matrix)
-    _require_density(state, spectrum)
+    spectrum = _spectrum(rho.matrix)
+    _require_density(rho, spectrum)
     return float(_entropy(spectrum))
 
 
-def von_neumann_entropy(rho: State) -> float:
-    """S(rho) = -Tr rho log2 rho; eigenvalues below the clamp contribute 0."""
-    return _whole_entropy(rho)
-
-
 def linear_entropy(rho: State) -> float:
-    """1 - Tr rho^2, in [0, 1 - 1/D]; Tr rho^2 of a Hermitian rho is the sum of
-    its squared moduli."""
+    """1 - Tr rho^2, in [0, 1 - 1/D]."""
     if isinstance(rho, PureState):
         return 0.0
     _require_density(rho)
-    return 1.0 - float(np.vdot(rho.matrix, rho.matrix).real)
+    return _linear_entropy_sum([rho.matrix])
 
 
 def mutual_information(state: State, a: Iterable[int], b: Iterable[int]) -> float:
@@ -118,10 +114,11 @@ def _correlations(singles: Sequence, pairs: dict, whole) -> dict:
 
 
 def _linear_entropy_sum(reds: Iterable[np.ndarray]) -> float:
-    """Sum of 1 - Tr(red^2) over unit-trace matrices."""
+    """Sum of 1 - Tr(red^2) over unit-trace Hermitian matrices; Tr red^2 is
+    the sum of red's squared moduli."""
     total = 0.0
     for red in reds:
-        total += 1.0 - float(np.real(np.trace(red @ red)))
+        total += 1.0 - float(np.vdot(red, red).real)
     return total
 
 
@@ -140,7 +137,7 @@ def _marginal_pass(state: State, with_pairs: bool = True) -> tuple[list[np.ndarr
     reds = [_marginal(state, keep) for keep in subsets]
     entropies = _entropies(reds)
     pairs = dict(zip(subsets[n:], entropies[n:]))
-    return reds[:n], _correlations(entropies[:n], pairs, _whole_entropy(state))
+    return reds[:n], _correlations(entropies[:n], pairs, von_neumann_entropy(state))
 
 
 def _direct(state: State, name: str) -> float:
@@ -279,8 +276,8 @@ def ssa_check(rho: State) -> float:
 
 def direct_measure(state: State, name: str) -> float:
     """Direct value of a named measure (M, O, S or MW) on a state."""
-    if name not in ("M", "O", "S", "MW"):
-        raise ValueError(f"unknown measure {name!r}; choose from ['M', 'MW', 'O', 'S']")
+    if name not in MEASURE_NAMES:
+        raise ValueError(f"unknown measure {name!r}; choose from {list(MEASURE_NAMES)}")
     return _direct(state, name)
 
 

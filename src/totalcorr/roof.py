@@ -10,13 +10,13 @@ covers the member rows of every restart still searching, in consecutive
 groups of restarts of at most ROW_BUDGET rows, so memory grows with
 restarts x members x dimension up to that budget.
 
-The pure roof takes each member row as one pure state; its value is the
-returned members' weighted average, from one batched evaluation of the
-normalized members. The mixed roof (Uhlmann, "Roofs and convexity",
-Entropy 12, 1799 (2010)) runs the same optimizer on groups of g
-consecutive rows, each group one mixed member, for g = 2..r, and returns
-the best of these, the pure roof and the state itself. Restart k is
-seeded base seed + k whether it runs alone or in a batch, so results are
+Both roofs are one loop over group sizes g: each member is g consecutive
+rows, a pure state for g = 1 and a mixture otherwise (Uhlmann, "Roofs and
+convexity", Entropy 12, 1799 (2010)). The pure roof runs g = 1; the mixed
+roof runs g = 1..r and returns the best of these and the state itself.
+A candidate's value is its returned members' weighted average, from one
+batched evaluation of their normalized rows. Restart k is seeded base
+seed + k whether it runs alone or in a batch, so results are
 bit-identical for a fixed config.
 """
 
@@ -37,7 +37,7 @@ from .core import (
     _keep_first,
     _require_density,
 )
-from .measures import EIG_CLAMP, _correlations, direct_measure
+from .measures import EIG_CLAMP, MEASURE_NAMES, _correlations, direct_measure
 from .states import Ensemble, PureState, State, as_density, flagged_mixture
 
 RANK_TOL = 1e-10
@@ -46,8 +46,9 @@ WEIGHT_DROP = 1e-12
 # roof run in groups of ROW_BUDGET // m (at least one); the objective's
 # cost per row is flat from a few hundred rows on
 ROW_BUDGET = 2**12
+# largest register dimension a roof accepts
+DIM_CAP = 256
 
-MEASURE_NAMES = ("M", "O", "S", "MW")
 STRATEGIES = ("pure_roof", "mixed_roof")
 
 
@@ -55,10 +56,14 @@ STRATEGIES = ("pure_roof", "mixed_roof")
 class RoofConfig:
     """Knobs for the decomposition search.
 
-    ensemble_size defaults to r^2 where r is the rank of the input.
+    ensemble_size is the number m of member rows, r^2 by default where r
+    is the rank of the input; the mixed roof's run at group size g takes
+    g * max(m // g, r) rows. restarts are seeded seed, seed + 1, ...
     max_iterations counts line searches, and a restart stops converged
     once a line search lowers the ensemble average by less than tolerance
-    or the average drops below it.
+    or the average drops below it. strategy is "pure_roof" or
+    "mixed_roof". The register dimension is capped by the module's
+    DIM_CAP.
     """
 
     ensemble_size: int | None = None
@@ -67,7 +72,6 @@ class RoofConfig:
     tolerance: float = 1e-6
     seed: int = 0
     strategy: str = "pure_roof"
-    dim_cap: int = 256
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
@@ -118,22 +122,33 @@ def ensemble_from_isometry(rho: DensityMatrix, V: np.ndarray) -> Ensemble:
     rank, lam, vecs = _eigen(rho)
     if r < rank:
         raise ValueError("isometry has fewer columns than the rank of rho")
-    return _ensemble(_row_members(rho.shape, V @ _eigen_rows(lam, vecs, r)))
+    weights, _, members = _decompose(rho.shape, V @ _eigen_rows(lam, vecs, r), 1)
+    return Ensemble(tuple(weights), tuple(members))
 
 
-def _row_members(shape: RegisterShape, W: np.ndarray):
-    """(weight, normalized row) of each row of W that carries weight."""
-    for row in W:
-        p = float(np.real(np.vdot(row, row)))
-        if p >= WEIGHT_DROP:
-            yield p, PureState(shape, row / math.sqrt(p))
+def _decompose(shape: RegisterShape, W: np.ndarray, group: int):
+    """Weights rescaled to sum to 1, normalized rows and members of the
+    `group`-row members of W that carry weight.
+
+    A member is a PureState for one row and the rows' DensityMatrix
+    otherwise; the rows come back `group` per member, as W lays them out.
+    """
+    d = W.shape[1]
+    grouped = W.reshape(-1, group * d)
+    p = np.array([np.vdot(w, w).real for w in grouped])
+    live = p >= WEIGHT_DROP
+    grouped, p = grouped[live] / np.sqrt(p[live])[:, None], p[live]
+    if group == 1:
+        members = [PureState(shape, row) for row in grouped]
+    else:
+        members = [DensityMatrix(shape, w.T @ w.conj()) for w in grouped.reshape(-1, group, d)]
+    return p / sum(p.tolist()), grouped.reshape(-1, d), members
 
 
-def _ensemble(members) -> Ensemble:
-    """Ensemble of (weight, state) pairs, the weights rescaled to sum to 1."""
-    weights, states = zip(*members)
-    total = sum(weights)
-    return Ensemble(tuple(wt / total for wt in weights), states)
+def _single(state: State, measure: str) -> RoofResult:
+    """The decomposition of `state` into itself, at its direct value."""
+    value = direct_measure(state, measure)
+    return RoofResult(value, Ensemble((1.0,), (state,)), (value,), True)
 
 
 # --- batched objective -------------------------------------------------
@@ -415,24 +430,14 @@ def _best_run(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
     return tuple(per_restart), best[1], best[2]
 
 
-def _group_members(shape: RegisterShape, W: np.ndarray, group: int):
-    """(weight, normalized mixture) of each `group` consecutive rows of W that
-    carry weight."""
-    for rows in W.reshape(-1, group, W.shape[1]):
-        rho = rows.T @ rows.conj()
-        p = float(np.real(np.trace(rho)))
-        if p >= WEIGHT_DROP:
-            yield p, DensityMatrix(shape, rho / p)
-
-
 def roof_minimize(rho: State, measure: str, config: RoofConfig | None = None) -> RoofResult:
     """Minimize the ensemble-averaged measure over decompositions of rho.
 
-    The pure roof decomposes rho into m pure members. The mixed roof
-    returns the lowest of three candidates: rho itself as its one member
-    (the direct value), the pure roof, and for each g = 2..r a
-    decomposition into max(m // g, r) mixed members of g rows each; the
-    winner supplies `per_restart_values` and `converged`.
+    Each candidate decomposes rho into max(m // g, r) members of g rows
+    each. The pure roof runs g = 1, m pure members. The mixed roof returns
+    the lowest of rho itself as its one member (the direct value) and the
+    candidates for g = 1..r; the winner supplies `per_restart_values` and
+    `converged`.
 
     Returns an upper bound on the true convex roof; the reported value is
     exactly the ensemble average of the returned decomposition. Restarts
@@ -446,43 +451,31 @@ def roof_minimize(rho: State, measure: str, config: RoofConfig | None = None) ->
     shape = rho.shape
     if shape.nsites < 2:
         raise ValueError("roof requires at least 2 subsystems")
-    if shape.dim > cfg.dim_cap:
-        raise ResourceLimitError(f"dimension {shape.dim} exceeds cap {cfg.dim_cap}")
+    if shape.dim > DIM_CAP:
+        raise ResourceLimitError(f"dimension {shape.dim} exceeds cap {DIM_CAP}")
 
     if isinstance(rho, PureState):
-        value = direct_measure(rho, measure)
-        return RoofResult(value, Ensemble((1.0,), (rho,)), (value,), True)
+        return _single(rho, measure)
 
     r, lam, vecs = _eigen(rho)
     if r == 1:
-        psi = PureState(shape, vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
-        value = direct_measure(psi, measure)
-        return RoofResult(value, Ensemble((1.0,), (psi,)), (value,), True)
+        return _single(PureState(shape, vecs[:, 0] / np.linalg.norm(vecs[:, 0])), measure)
 
     m = cfg.ensemble_size if cfg.ensemble_size is not None else r * r
     if m < r:
         raise ValueError(f"ensemble_size must be >= rank ({r}), got {m}")
     A = _eigen_rows(lam, vecs, r)
     seeds = [cfg.seed + k for k in range(cfg.restarts)]
-    per_restart, W, converged = _best_run(A, shape.dims, measure, m, seeds, cfg, 1)
-    ensemble = _ensemble(_row_members(shape, W))
-    amps = np.array([member.amplitudes for member in ensemble.members])
-    final = np.dot(ensemble.weights, _pure_values(amps, shape.dims, measure)[0])
-    pure = RoofResult(float(final), ensemble, per_restart, converged)
-    if cfg.strategy == "pure_roof":
-        return pure
-
-    value = direct_measure(rho, measure)
-    candidates = [RoofResult(value, Ensemble((1.0,), (rho,)), (value,), True), pure]
-    for g in range(2, r + 1):
-        rows = g * max(m // g, r)
-        per_restart, W, converged = _best_run(A, shape.dims, measure, rows, seeds, cfg, g)
-        ensemble = _ensemble(_group_members(shape, W, g))
-        final = sum(
-            p * direct_measure(member, measure)
-            for p, member in zip(ensemble.weights, ensemble.members)
-        )
-        candidates.append(RoofResult(float(final), ensemble, per_restart, converged))
+    candidates, groups = [], (1,)
+    if cfg.strategy == "mixed_roof":
+        candidates, groups = [_single(rho, measure)], range(1, r + 1)
+    for g in groups:
+        per_restart, W, converged = _best_run(
+            A, shape.dims, measure, g * max(m // g, r), seeds, cfg, g)
+        weights, rows, members = _decompose(shape, W, g)
+        value = float(np.dot(weights, _pure_values(rows, shape.dims, measure, g)[0]))
+        candidates.append(RoofResult(value, Ensemble(tuple(weights), tuple(members)),
+                                     per_restart, converged))
     return min(candidates, key=lambda res: res.value)
 
 

@@ -1,5 +1,7 @@
 import json
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,3 +254,49 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "flags", "--trials", "1")
         assert code == 0
         assert out.startswith("PASS flags-equality")
+
+
+class TestOptions:
+    # each command takes only the options it reads; any other is a usage error
+    @pytest.mark.parametrize("argv", [
+        ["roof", "--state", "ghz", "--n", "3", "--format", "csv"],
+        ["sweep", "--family", "ghz", "--n-range", "2:3", "--format", "json"],
+        ["verify", "entropy", "--trials", "1", "--format", "json"],
+        ["verify", "entropy", "--trials", "1", "--output", "out.txt"],
+        ["measure", "--state", "epr", "--seed", "1"],
+        ["sweep", "--family", "ghz", "--n-range", "2:3", "--seed", "1"],
+    ])
+    def test_option_a_command_ignores_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_roof_output_file(self, capsys, tmp_path):
+        path = tmp_path / "roof.json"
+        code, out, _ = run(capsys, "roof", "--state", "ghz", "--n", "3", "--output", str(path))
+        assert (code, out) == (0, "")
+        assert json.loads(path.read_text())["value"] == pytest.approx(1.5)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """Arguments of every `totalcorr` line in the README's sh blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    return [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+            if line.startswith("totalcorr ")]
+
+
+def test_readme_has_an_example_per_command():
+    assert {argv[0] for argv in readme_commands()} == {"measure", "sweep", "roof", "verify"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_runs(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    save_state(random_pure(RegisterShape((2, 2, 2)), seed=4), tmp_path / "state.json")
+    save_state(random_density(RegisterShape((2, 2)), 3, seed=7), tmp_path / "rho.json")
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err

@@ -87,13 +87,18 @@ class TestRoofMinimize:
         res = roof_minimize(werner(0.2), "M", FAST)
         assert res.value <= 1e-3
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 3)])
-    @pytest.mark.parametrize("measure", ["M", "O", "S", "MW"])
-    def test_value_matches_returned_ensemble(self, dims, measure):
-        # the pure roof takes its value from one batched objective call on
-        # the members; it must be their average of the direct measure
+    # the pure-roof cases keep the ids they had before the mixed-roof ones joined
+    @pytest.mark.parametrize("dims, measure, strategy", [
+        pytest.param(dims, measure, strategy, id=f"{measure}-dims{k}{suffix}")
+        for strategy, suffix in (("pure_roof", ""), ("mixed_roof", "-mixed_roof"))
+        for measure in ("M", "O", "S", "MW")
+        for k, dims in enumerate([(2, 2), (2, 2, 2), (2, 3)])
+    ])
+    def test_value_matches_returned_ensemble(self, dims, measure, strategy):
+        # every candidate takes its value from one batched objective call on
+        # its members; it must be their average of the direct measure
         rho = random_density(RegisterShape(dims), 3, seed=37)
-        res = roof_minimize(rho, measure, FAST)
+        res = roof_minimize(rho, measure, RoofConfig(restarts=4, seed=3, strategy=strategy))
         recomputed = sum(
             p * direct_measure(member, measure)
             for p, member in zip(res.ensemble.weights, res.ensemble.members)
@@ -125,10 +130,14 @@ class TestRoofMinimize:
         assert res.value <= 0.00628
         assert all(isinstance(member, DensityMatrix) for member in res.ensemble.members)
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        nine = RegisterShape((2,) * 9)
+        with pytest.raises(ResourceLimitError, match="dimension 512 exceeds cap 256"):
+            roof_minimize(DensityMatrix(nine, np.eye(512) / 512), "M", FAST)
+        monkeypatch.setattr(roof, "DIM_CAP", 2)
         rho = random_density(Q2, 2, seed=41)
-        with pytest.raises(ResourceLimitError):
-            roof_minimize(rho, "M", RoofConfig(dim_cap=2))
+        with pytest.raises(ResourceLimitError, match="exceeds cap 2"):
+            roof_minimize(rho, "M", FAST)
 
     def test_rejects_unknown_measure(self):
         with pytest.raises(ValueError):
