@@ -32,6 +32,8 @@ def _jnum(v: float) -> float:
 
 def _load_input_state(args) -> states.State:
     if args.file:
+        if (args.state, args.n, args.x) != (None, None, None):
+            raise ValueError("--file takes no --state, --n or --x")
         return states.load_state(args.file)
     if not args.state:
         raise ValueError("provide --state <name> or --file <path>")

@@ -97,8 +97,10 @@ class RegisterShape:
         return RegisterShape(tuple(self.dims[i] for i in keep))
 
 
-def _frozen_complex(arr, shape) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
+def _frozen_complex(arr, shape, copy: bool = True) -> np.ndarray:
+    """arr as a read-only complex array of this shape with finite entries;
+    without `copy` a complex array is frozen in place, not copied."""
+    out = np.array(arr, dtype=complex) if copy else np.asarray(arr, dtype=complex)
     if out.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {out.shape}")
     if not np.all(np.isfinite(out.view(float))):
@@ -121,6 +123,16 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         d = self.shape.dim
         object.__setattr__(self, "matrix", _frozen_complex(self.matrix, (d, d)))
+
+    @classmethod
+    def _adopt(cls, shape: RegisterShape, mat: np.ndarray) -> "DensityMatrix":
+        """The density of a complex matrix that its builder has just made and
+        holds no other reference to: `mat` is frozen and kept, with the
+        checks of construction but without its D x D copy."""
+        rho = cls.__new__(cls)
+        object.__setattr__(rho, "shape", shape)
+        object.__setattr__(rho, "matrix", _frozen_complex(mat, (shape.dim,) * 2, copy=False))
+        return rho
 
 
 def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -161,7 +173,7 @@ def pure_marginal(amplitudes: np.ndarray, dims: Sequence[int], keep: Iterable[in
     return flat @ flat.conj().T
 
 
-# The low-rank spectrum path of `_spectrum`. Below dimension 64 a dense
+# The low-rank spectrum path of `_certified_spectrum`. Below dimension 64 a dense
 # eigvalsh takes well under a millisecond and there is little to save. A
 # factor of at most D/16 columns keeps the pivot loop and the residual check
 # (O(D k^2) and O(D^2 k)) a few percent of the O(D^3) dense call they
@@ -219,8 +231,9 @@ def _certified_factor(mat: np.ndarray) -> np.ndarray | None:
     return L if sq <= SPECTRUM_TOL ** 2 else None
 
 
-def _spectrum(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, certified to SPECTRUM_TOL.
+def _certified_spectrum(mat: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Ascending eigenvalues of a Hermitian matrix, certified to SPECTRUM_TOL,
+    and whether a certified factor gave them.
 
     From dimension SPECTRUM_MIN_DIM, when `_certified_factor` finds L, the
     spectrum is that of the k x k matrix L^dag L padded with zeros: by
@@ -231,9 +244,9 @@ def _spectrum(mat: np.ndarray) -> np.ndarray:
     d = len(mat)
     L = _certified_factor(mat) if d >= SPECTRUM_MIN_DIM else None
     if L is None:
-        return np.linalg.eigvalsh(mat)
+        return np.linalg.eigvalsh(mat), False
     small = np.linalg.eigvalsh(L.conj().T @ L)
-    return np.sort(np.concatenate((np.zeros(d - len(small)), small)))
+    return np.sort(np.concatenate((np.zeros(d - len(small)), small))), True
 
 
 @dataclass(frozen=True)
@@ -254,12 +267,16 @@ def validate_density(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> Validation
     return _validation_report(mat, np.linalg.eigvalsh(sym), tol)
 
 
-def _validation_report(mat: np.ndarray, spectrum: np.ndarray, tol: float) -> ValidationReport:
+def _validation_report(mat: np.ndarray, spectrum: np.ndarray, tol: float,
+                       herm_dev: float | None = None) -> ValidationReport:
+    """The report on mat with this spectrum; a known upper bound `herm_dev`
+    on max |mat - mat^dag| stands in for the blockwise pass."""
     violations = []
-    # |a_ij - conj(a_ji)| is symmetric in i and j, so each row block needs
-    # only the columns from its first row on
-    herm_dev = float(max(np.max(np.abs(mat[b, b.start:] - mat[b.start:, b].conj().T))
-                         for b in _row_blocks(len(mat))))
+    if herm_dev is None:
+        # |a_ij - conj(a_ji)| is symmetric in i and j, so each row block
+        # needs only the columns from its first row on
+        herm_dev = float(max(np.max(np.abs(mat[b, b.start:] - mat[b.start:, b].conj().T))
+                             for b in _row_blocks(len(mat))))
     if herm_dev > tol:
         violations.append(f"not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
     trace_dev = float(abs(np.trace(mat) - 1.0))
@@ -277,11 +294,23 @@ def _validation_report(mat: np.ndarray, spectrum: np.ndarray, tol: float) -> Val
     )
 
 
-def _require_density(rho: DensityMatrix, spectrum: np.ndarray | None = None) -> None:
-    """Raise ValueError unless rho is a density matrix within INPUT_TOL;
-    a caller that already diagonalized rho passes its eigenvalues."""
+def _require_density(rho: DensityMatrix, spectrum: np.ndarray | None = None) -> np.ndarray:
+    """Raise ValueError unless rho is a density matrix within INPUT_TOL, and
+    return the ascending spectrum it was checked on.
+
+    A caller that already diagonalized rho passes its eigenvalues. Otherwise
+    they come from `_certified_spectrum`. When a factor L certified them,
+    the residual R = rho - L L^dag has Frobenius norm at most SPECTRUM_TOL
+    and rho - rho^dag = R - R^dag, so max |rho - rho^dag| is at most
+    2 SPECTRUM_TOL, far below INPUT_TOL: that bound stands in for the
+    blockwise Hermiticity pass, and the verdict and message are the ones
+    the pass would give.
+    """
+    herm_dev = None
     if spectrum is None:
-        spectrum = _spectrum(rho.matrix)
-    report = _validation_report(rho.matrix, spectrum, INPUT_TOL)
+        spectrum, certified = _certified_spectrum(rho.matrix)
+        herm_dev = 2 * SPECTRUM_TOL if certified else None
+    report = _validation_report(rho.matrix, spectrum, INPUT_TOL, herm_dev)
     if not report.ok:
         raise ValueError("invalid density matrix: " + "; ".join(report.violations))
+    return spectrum

@@ -23,7 +23,6 @@ from .core import (
     SupportError,
     _check_keep,
     _require_density,
-    _spectrum,
     partial_trace_matrix,
     pure_marginal,
 )
@@ -66,9 +65,7 @@ def von_neumann_entropy(rho: State) -> float:
     A density's positivity is checked on the same spectrum."""
     if isinstance(rho, PureState):
         return 0.0
-    spectrum = _spectrum(rho.matrix)
-    _require_density(rho, spectrum)
-    return float(_entropy(spectrum))
+    return float(_entropy(_require_density(rho)))
 
 
 def linear_entropy(rho: State) -> float:
@@ -215,8 +212,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise ValueError("states must share one register shape")
     svals, svecs = np.linalg.eigh(sigma.matrix)
     _require_density(sigma, svals)
-    rvals = _spectrum(rho.matrix)
-    _require_density(rho, rvals)
+    rvals = _require_density(rho)
     on_support = svals > SUPPORT_TOL
     overlaps = np.real(np.einsum("ik,ij,jk->k", svecs.conj(), rho.matrix, svecs))
     leak = float(overlaps[~on_support].sum())

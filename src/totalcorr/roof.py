@@ -268,7 +268,8 @@ def _pure_values(W: np.ndarray, dims: tuple[int, ...], measure: str,
     eigenvalues under EIG_CLAMP; a linear-entropy term p - Tr(rho_K^2) / p
     has gradient w - (2 rho_K w - Tr(rho_K^2) w / p) / p. All cuts of one
     marginal dimension run as one stack: 2 x 2 marginals in closed form,
-    larger ones through one eigh. Every member is computed on its own, so
+    larger ones through one eigh of f f^dag, or of the Gram f^dag f where
+    that is smaller. Every member is computed on its own, so
     its numbers do not depend on the others. A member of weight at most
     1e-14 is dead: its value and gradient are 0.
     """
@@ -290,11 +291,17 @@ def _pure_values(W: np.ndarray, dims: tuple[int, ...], measure: str,
         elif dk == 2:
             terms, g = _qubit_entropy_terms(flat, ps)
         else:
-            lam, U = np.linalg.eigh(flat @ flat.conj().transpose(0, 2, 1))
+            # a marginal f f^dag of rank below dk (a grouped member's large
+            # side) shares its nonzero eigenvalues with the Gram f^dag f, and
+            # log2(f f^dag / p) f = f log2(f^dag f / p)
+            gram, fh = flat.shape[2] < dk, flat.conj().transpose(0, 2, 1)
+            lam, U = np.linalg.eigh(fh @ flat if gram else flat @ fh)
             lam = np.clip(lam / ps[:, None], 0.0, None)
             logs = _log2_clamped(lam)
             terms = -(lam * logs).sum(axis=1)
-            g = -((U * logs[:, None, :]) @ (U.conj().transpose(0, 2, 1) @ flat))
+            Uh = U.conj().transpose(0, 2, 1)
+            g = -(((flat @ U) * logs[:, None, :]) @ Uh if gram
+                  else (U * logs[:, None, :]) @ (Uh @ flat))
         values += p * (terms.reshape(k, c) * coefs).sum(axis=1)
         g = g.reshape(k, c, -1) * coefs[:, None]
         grad += g.reshape(k, -1)[:, inverse].reshape(k, c, -1).sum(axis=1)

@@ -190,7 +190,10 @@ FAMILIES = {
 def family_state(name: str, n: int | None = None, x: float | None = None) -> PureState:
     """The n-site member of a named family, at parameter x for a parametric one.
 
-    n may be left out for a family with a single size.
+    n may be left out for a family with a single size. A size the family
+    does not allow, or an x for a family without a parameter, raises
+    ValueError. The constructor runs first, so that its own message stands
+    wherever it checks n itself.
     """
     fam = FAMILIES[name]
     if n is None and fam.min_n == fam.max_n:
@@ -199,12 +202,17 @@ def family_state(name: str, n: int | None = None, x: float | None = None) -> Pur
         raise ValueError(f"state family {name} requires n")
     if fam.parametric and x is None:
         raise ValueError(f"state family {name} requires x")
-    return fam.build(n, x)
+    state = fam.build(n, x)
+    if not fam.allows(n):
+        raise ValueError(f"state family {name} has no member with n = {n}")
+    if x is not None and not fam.parametric:
+        raise ValueError(f"state family {name} takes no x")
+    return state
 
 
 def dm(psi: PureState) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi|."""
-    return DensityMatrix(psi.shape, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    return DensityMatrix._adopt(psi.shape, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
 def as_density(state: State) -> DensityMatrix:
@@ -216,7 +224,7 @@ def mix(e: Ensemble) -> DensityMatrix:
     out = np.zeros((e.shape.dim,) * 2, dtype=complex)
     for p, member in zip(e.weights, e.members):
         out += p * as_density(member).matrix
-    return DensityMatrix(e.shape, out)
+    return DensityMatrix._adopt(e.shape, out)
 
 
 def flagged_mixture(e: Ensemble) -> DensityMatrix:
@@ -233,7 +241,7 @@ def flagged_mixture(e: Ensemble) -> DensityMatrix:
         flag = np.zeros((fdim, fdim), dtype=complex)
         flag[i, i] = 1.0
         out += p * np.kron(as_density(member).matrix, flag)
-    return DensityMatrix(RegisterShape(e.shape.dims + (fdim,)), out)
+    return DensityMatrix._adopt(RegisterShape(e.shape.dims + (fdim,)), out)
 
 
 def random_pure(shape: RegisterShape, seed: int) -> PureState:
@@ -246,8 +254,8 @@ def random_pure(shape: RegisterShape, seed: int) -> PureState:
 def random_density(shape: RegisterShape, rank: int, seed: int) -> DensityMatrix:
     """Random rank-limited mixture of Haar pure states, deterministic per seed.
 
-    Each weighted outer product is added in row blocks, so that no D x D
-    temporary is made beside the result."""
+    Each weighted outer product is added in row blocks, and the result is
+    kept without a copy, so that no D x D array is made beside it."""
     d = shape.dim
     if not 1 <= rank <= d:
         raise ValueError(f"rank must lie in 1..{d}, got {rank}")
@@ -260,7 +268,7 @@ def random_density(shape: RegisterShape, rank: int, seed: int) -> DensityMatrix:
         vc = v.conj()
         for blk in _row_blocks(d):
             out[blk] += p * np.outer(v[blk], vc)
-    return DensityMatrix(shape, out)
+    return DensityMatrix._adopt(shape, out)
 
 
 # --- state file format -------------------------------------------------
@@ -288,7 +296,7 @@ def load_state(path) -> State:
         return PureState(shape, amps)
     if "matrix" in doc:
         mat = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
-        rho = DensityMatrix(shape, mat)
+        rho = DensityMatrix._adopt(shape, mat)
         _require_density(rho)
         return rho
     raise ValueError("state file must contain 'amplitudes' or 'matrix'")

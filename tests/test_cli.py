@@ -66,6 +66,27 @@ class TestMeasureCommand:
         code, _, _ = run(capsys, "measure", "--state", "ghz")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["measure", "roof"])
+    def test_file_with_state_options_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "psi.json"
+        save_state(random_pure(RegisterShape((2, 2)), seed=4), path)
+        code, out, err = run(capsys, command, "--file", str(path), "--state", "ghz", "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert "--file takes no --state, --n or --x" in err
+
+    def test_x_for_a_family_without_parameter_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "measure", "--state", "ghz", "--n", "3", "--x", "0.3")
+        assert code == 2
+        assert out == ""
+        assert "state family ghz takes no x" in err
+
+    def test_size_the_family_lacks_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "measure", "--state", "epr", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert "state family epr has no member with n = 3" in err
+
     def test_bad_file_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")

@@ -14,10 +14,13 @@ from totalcorr import (
     pure_marginal,
     validate_density,
 )
+from totalcorr import core
 from totalcorr.core import (
+    INPUT_TOL,
     _certified_factor,
+    _certified_spectrum,
     _keep_first,
-    _spectrum,
+    _require_density,
     _validation_report,
     partial_trace_matrix,
 )
@@ -256,12 +259,12 @@ class TestLowRankSpectrum:
     def test_entropy_matches_dense(self, n, rank):
         rho = qubit_density(n, rank, seed=100 * n + rank)
         dense = _entropy(np.linalg.eigvalsh(rho.matrix))
-        assert abs(_entropy(_spectrum(rho.matrix)) - dense) < 1e-13
+        assert abs(_entropy(_certified_spectrum(rho.matrix)[0]) - dense) < 1e-13
 
     def test_spectrum_is_the_padded_low_rank_one(self, eigvalsh_sizes):
         rho = qubit_density(8, 4, seed=1)
-        got = _spectrum(rho.matrix)
-        assert eigvalsh_sizes == [4]
+        got, certified = _certified_spectrum(rho.matrix)
+        assert certified and eigvalsh_sizes == [4]
         assert got.shape == (256,) and np.all(np.diff(got) >= 0)
         assert np.max(np.abs(got - np.linalg.eigvalsh(rho.matrix))) < 1e-13
 
@@ -284,7 +287,7 @@ class TestLowRankSpectrum:
         assert _certified_factor(rho.matrix).shape == (2 ** n, 2 ** n // 16)
 
     def test_small_registers_reach_dense(self, eigvalsh_sizes):
-        _spectrum(qubit_density(5, 1, seed=3).matrix)
+        assert not _certified_spectrum(qubit_density(5, 1, seed=3).matrix)[1]
         assert eigvalsh_sizes == [32]
 
     @pytest.mark.parametrize("fn", [measure_report, von_neumann_entropy,
@@ -319,6 +322,60 @@ class TestLowRankSpectrum:
         for m in (mat, mat + mat.conj().T + 1e-9 * mat):
             got = _validation_report(m, np.zeros(1), 1e-8).hermiticity_deviation
             assert got == float(np.max(np.abs(m - m.conj().T)))
+
+
+def with_anti_hermitian_part(rho, eps, seed=0):
+    """rho plus an anti-Hermitian part that makes max |rho - rho^dag| = eps."""
+    rng = np.random.default_rng(seed)
+    d = rho.shape.dim
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a = x - x.conj().T
+    return DensityMatrix(rho.shape, rho.matrix + eps / 2 * a / np.max(np.abs(a)))
+
+
+class TestHermiticityFromCertificate:
+    @pytest.mark.parametrize("eps", [1e-15, 1e-12, 1e-9, 1e-6])
+    def test_verdict_and_message_are_the_full_checks(self, eps):
+        bad = with_anti_hermitian_part(qubit_density(8, 4, seed=7), eps)
+        # the full check: the blockwise Hermiticity pass on the dense spectrum
+        full = _validation_report(bad.matrix, np.linalg.eigvalsh(bad.matrix), INPUT_TOL)
+        report = validate_density(bad, INPUT_TOL)
+        assert report.ok == full.ok == (eps < INPUT_TOL)
+        if eps == 1e-15:
+            assert _certified_factor(bad.matrix) is not None
+        if full.ok:
+            _require_density(bad)
+            return
+        with pytest.raises(ValueError) as raised:
+            _require_density(bad)
+        assert str(raised.value) == "invalid density matrix: " + "; ".join(full.violations)
+        assert set(report.violations) <= set(full.violations)
+
+    def test_certified_density_with_a_wrong_trace_still_raises(self):
+        rho = qubit_density(8, 4, seed=7)
+        scaled = DensityMatrix(rho.shape, 1.5 * rho.matrix)
+        assert _certified_factor(scaled.matrix) is not None
+        with pytest.raises(ValueError, match="^invalid density matrix: trace differs from 1 by 5.000e-01$"):
+            _require_density(scaled)
+
+    def test_certified_density_takes_one_blockwise_pass(self, monkeypatch):
+        rho = qubit_density(8, 4, seed=7)
+        passes = []
+        row_blocks = core._row_blocks
+
+        def counting(d):
+            passes.append(d)
+            return row_blocks(d)
+
+        monkeypatch.setattr(core, "_row_blocks", counting)
+        spectrum = _require_density(rho)
+        # the residual of the certificate; the Hermiticity pass is skipped
+        assert passes == [256]
+        assert np.array_equal(spectrum, _certified_spectrum(rho.matrix)[0])
+        # a residual that fails its check is followed by the Hermiticity pass
+        passes.clear()
+        _require_density(with_anti_hermitian_part(rho, 1e-14))
+        assert passes == [256, 256]
 
 
 def test_import_leaves_scipy_unloaded():

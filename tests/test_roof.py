@@ -22,8 +22,8 @@ from totalcorr import (
     roof_minimize,
 )
 from totalcorr import roof
-from totalcorr.core import ResourceLimitError
-from totalcorr.measures import direct_measure
+from totalcorr.core import ResourceLimitError, partial_trace_matrix
+from totalcorr.measures import EIG_CLAMP, direct_measure
 from totalcorr.roof import _cuts, _pure_values
 from totalcorr.states import PureState
 
@@ -381,6 +381,47 @@ class TestBatchedObjective:
     @pytest.mark.parametrize("measure", ["M", "O", "S", "MW"])
     def test_grouped_gradient_matches_central_differences(self, dims, measure):
         self.check_slopes(self.rows(dims, 200 + len(dims)), dims, measure, group=3)
+
+    @staticmethod
+    def dense_grouped_values(W, dims, measure, group):
+        """Values and gradient of the `group`-row members of W from D x D
+        matrices: each marginal of sum_w w w^dag diagonalized on its own
+        side, and its log applied to every row as the D x D operator
+        log2(rho_K / p) x 1."""
+        n, d = len(dims), W.shape[1]
+        values, grad = [], np.zeros_like(W)
+        for k, rows in enumerate(W.reshape(-1, group, d)):
+            rho = rows.T @ rows.conj()
+            p = np.trace(rho).real
+            value = 0.0
+            for keep, coef in _cuts(dims, measure, True):
+                lam, U = np.linalg.eigh(partial_trace_matrix(rho, dims, keep) / p)
+                logs = np.where(lam > EIG_CLAMP, np.log2(np.where(lam > EIG_CLAMP, lam, 1.0)), 0.0)
+                value -= coef * p * float(np.clip(lam, 0.0, None) @ logs)
+                axes = list(keep) + [i for i in range(n) if i not in keep]
+                sides = [dims[i] for i in axes]
+                op = np.kron((U * logs) @ U.conj().T, np.eye(d // len(lam)))
+                back = list(np.argsort(axes))
+                op = op.reshape(sides * 2).transpose(back + [n + i for i in back]).reshape(d, d)
+                grad[k * group:(k + 1) * group] -= coef * rows @ op.T
+            values.append(value)
+        return np.array(values), grad
+
+    @pytest.mark.parametrize("measure", ["O", "S"])
+    def test_grouped_whole_register_term_on_the_gram_side(self, measure, monkeypatch):
+        # six qubits in members of two rows: the whole-register marginal has
+        # rank 2, so its entropy and log come from the 2 x 2 Gram of the rows
+        dims = (2,) * 6
+        W = self.rows(dims, 300)
+        W /= np.linalg.norm(W)
+        want, want_grad = self.dense_grouped_values(W, dims, measure, 2)
+        sizes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(a.shape[-1]) or eigh(a))
+        got, grad = _pure_values(W, dims, measure, 2)
+        assert 64 not in sizes and 2 in sizes
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(grad - want_grad)) < 1e-12
 
     def test_grouped_terms_stay_on_their_side(self):
         # a mixed member has S(K) != S(K-bar) and a nonzero S(rho), so no

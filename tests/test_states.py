@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,21 @@ class TestBuilders:
         e = Ensemble((0.5, 0.5), (dm(epr()), DensityMatrix(shape, np.eye(4) / 4)))
         assert validate_density(mix(e)).ok
 
+    def test_caller_array_is_copied(self):
+        mat = np.eye(4, dtype=complex) / 4
+        rho = DensityMatrix(RegisterShape((2, 2)), mat)
+        mat[0, 0] = 1.0
+        assert mat.flags.writeable
+        assert rho.matrix[0, 0] == 0.25 and not rho.matrix.flags.writeable
+
+    def test_built_matrices_are_read_only(self):
+        e = Ensemble((0.5, 0.5), (epr(), product([KET0, KET1])))
+        built = [dm(epr()), mix(e), flagged_mixture(e), random_density(RegisterShape((2, 2)), 2, 1)]
+        for rho in built:
+            assert not rho.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                rho.matrix[0, 0] = 1.0
+
     def test_mix_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             Ensemble((0.5, 0.5), (epr(), ghz(3)))
@@ -196,6 +212,18 @@ class TestRandomStates:
             want += p * np.outer(v, v.conj())
         assert np.array_equal(random_density(shape, rank, seed).matrix, want)
 
+    def test_density_holds_one_matrix(self):
+        # the built matrix is kept, not copied: the peak stays near one
+        # 512 x 512 complex matrix of 4 MB
+        shape = RegisterShape((2,) * 9)
+        tracemalloc.start()
+        try:
+            rho = random_density(shape, 4, seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rho.matrix.nbytes == 1.5 * 4 * 2**20
+
     def test_density_rejects_bad_rank(self):
         with pytest.raises(ValueError):
             random_density(RegisterShape((2, 2)), rank=5, seed=1)
@@ -229,6 +257,15 @@ class TestFamilyRegistry:
         assert [n for n in range(1, 5) if FAMILIES["epr"].allows(n)] == [2]
         assert [n for n in range(1, 5) if FAMILIES["family1"].allows(n)] == [3, 4]
 
+    def test_rejects_options_the_family_lacks(self):
+        with pytest.raises(ValueError, match="^state family epr has no member with n = 3$"):
+            family_state("epr", 3)
+        with pytest.raises(ValueError, match="^state family ghz takes no x$"):
+            family_state("ghz", 3, 0.3)
+        # the constructor's own message stands where it checks n
+        with pytest.raises(ValueError, match="^cluster requires an even n >= 4$"):
+            family_state("cluster", 5)
+
     def test_missing_arguments(self):
         with pytest.raises(ValueError):
             family_state("ghz")
@@ -260,6 +297,13 @@ class TestStateFiles:
         path = tmp_path / "rho.json"
         save_state(DensityMatrix(RegisterShape((2, 2)), np.diag([0.7, 0.5, -0.1, -0.1])), path)
         with pytest.raises(ValueError, match="negative eigenvalue"):
+            load_state(path)
+
+    def test_rejects_non_finite_density(self, tmp_path):
+        path = tmp_path / "rho.json"
+        save_state(DensityMatrix(RegisterShape((2, 2)), np.eye(4) / 4), path)
+        path.write_text(path.read_text().replace("0.25", "NaN", 1))
+        with pytest.raises(ValueError, match="entries must be finite"):
             load_state(path)
 
     def test_rejects_malformed(self, tmp_path):
