@@ -15,7 +15,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,12 +109,14 @@ def _frozen_complex(arr, shape, copy: bool = True) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state over a register.
 
     Construction checks only dimensions and finiteness; the numeric
-    invariants are checked by :func:`validate_density`.
+    invariants are checked by :func:`validate_density`. Densities compare
+    and hash by identity: an element-wise comparison of their matrices has
+    no single truth value.
     """
 
     shape: RegisterShape
@@ -160,17 +162,53 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 def pure_marginal(amplitudes: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Reduced density matrix on `keep` of the pure state with these amplitudes.
 
-    The amplitude tensor, its kept sites moved first, is copied once into a
-    dk x (D / dk) matrix F, and the marginal is F F^dag, in the original
-    order of the kept sites. The full D x D matrix is never formed, which
-    keeps sweeps over large registers cheap. Site indices may come in any
-    order, repeated or as numpy integers; an empty, out-of-range or
+    The checking front of `_pure_marginal_stacks` for one selection: the
+    marginal is F F^dag, F the amplitude tensor with the kept sites moved
+    first, in their original order. The full D x D matrix is never formed,
+    which keeps sweeps over large registers cheap. Site indices may come in
+    any order, repeated or as numpy integers; an empty, out-of-range or
     non-integral selection raises ValueError.
     """
     dims = _check_dims(dims)
-    order, dk = _keep_first(dims, _check_keep(keep, len(dims)))
-    flat = np.asarray(amplitudes, dtype=complex).reshape(dims).transpose(order).reshape(dk, -1)
-    return flat @ flat.conj().T
+    keep = _check_keep(keep, len(dims))
+    ((_, stack),) = _pure_marginal_stacks(amplitudes, dims, [keep])
+    return stack[0]
+
+
+def _pure_marginal_stacks(amplitudes: np.ndarray, dims: tuple[int, ...],
+                          keeps: Sequence[tuple[int, ...]]) -> Iterator[tuple[list[int], np.ndarray]]:
+    """The marginals of a pure state on each of `keeps`, one stack per dimension.
+
+    `dims` and every keep must be checked as `_check_dims` and `_check_keep`
+    return them. For each marginal dimension dk, in order of first
+    appearance, yields the positions in `keeps` of that dk and their
+    marginals as one (count, dk, dk) array. Each keep's amplitude tensor,
+    its kept sites first, is copied into a stack of dk x (D/dk) matrices F,
+    and one stacked F F^dag takes a chunk's marginals. A chunk's stack and
+    its conjugate hold at most BLOCK_ENTRIES entries together (one keep when
+    a single F is larger), so they stay in cache; one buffer of that size
+    serves every chunk and every dk. Each matrix is the one a lone
+    F @ F.conj().T would give, bit for bit.
+    """
+    t = np.asarray(amplitudes, dtype=complex).reshape(dims)
+    groups: dict[int, list[int]] = {}
+    for k, keep in enumerate(keeps):
+        groups.setdefault(_keep_first(dims, keep)[1], []).append(k)
+    per_chunk = max(1, BLOCK_ENTRIES // (2 * t.size))
+    flat = np.empty((2, min(per_chunk, len(keeps)) * t.size), dtype=complex)
+    for dk, ks in groups.items():
+        size = min(per_chunk, len(ks)) * t.size
+        buf, conj = flat[:, :size].reshape(2, -1, dk, t.size // dk)
+        out = np.empty((len(ks), dk, dk), dtype=complex)
+        for start in range(0, len(ks), per_chunk):
+            chunk = ks[start:start + per_chunk]
+            for slot, k in zip(buf, chunk):
+                moved = t.transpose(_keep_first(dims, keeps[k])[0])
+                slot.reshape(moved.shape)[...] = moved
+            m = len(chunk)
+            np.conjugate(buf[:m], out=conj[:m])
+            np.matmul(buf[:m], conj[:m].transpose(0, 2, 1), out=out[start:start + m])
+        yield ks, out
 
 
 # The low-rank spectrum path of `_certified_spectrum`. Below dimension 64 a dense
@@ -184,7 +222,8 @@ def pure_marginal(amplitudes: np.ndarray, dims: Sequence[int], keep: Iterable[in
 SPECTRUM_MIN_DIM = 64
 SPECTRUM_RANK_DIVISOR = 16
 SPECTRUM_TOL = 1e-13
-# Entries per row block of the blockwise passes: 256 KB of complex128 stays
+# Entries per row block of the blockwise passes, and per chunk of stacked
+# pure marginals (stack and conjugate together): 256 KB of complex128 stays
 # in cache. Larger blocks were no faster, and their products with a low-rank
 # factor were at times far slower where BLAS spread them over threads.
 BLOCK_ENTRIES = 1 << 14

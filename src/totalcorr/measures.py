@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .core import (
     ResourceLimitError,
     SupportError,
     _check_keep,
+    _pure_marginal_stacks,
     _require_density,
     partial_trace_matrix,
     pure_marginal,
@@ -42,15 +43,27 @@ def _entropy(spectra: np.ndarray) -> np.ndarray:
     return -(lam * np.log2(lam)).sum(axis=-1)
 
 
+def _stacks(mats: Sequence[np.ndarray]) -> Iterator[tuple[list[int], np.ndarray]]:
+    """The positions and the stack of each matrix size among `mats`."""
+    for size in dict.fromkeys(len(mat) for mat in mats):
+        ks = [k for k, mat in enumerate(mats) if len(mat) == size]
+        yield ks, np.stack([mats[k] for k in ks])
+
+
+def _grouped_entropies(groups: Iterable[tuple[list[int], np.ndarray]],
+                       count: int) -> tuple[list[np.ndarray], list[float]]:
+    """Each of `count` matrices and its entropy, by position, from stacks of
+    equal size and their positions; one eigvalsh per stack."""
+    mats, out = [None] * count, [0.0] * count
+    for ks, stack in groups:
+        for k, mat, value in zip(ks, stack, _entropy(np.linalg.eigvalsh(stack)).tolist()):
+            mats[k], out[k] = mat, value
+    return mats, out
+
+
 def _entropies(mats: Sequence[np.ndarray]) -> list[float]:
     """Entropy of each Hermitian matrix; one eigvalsh per stack of equal size."""
-    out = [0.0] * len(mats)
-    for size in {len(mat) for mat in mats}:
-        ks = [k for k, mat in enumerate(mats) if len(mat) == size]
-        spectra = np.linalg.eigvalsh(np.stack([mats[k] for k in ks]))
-        for k, value in zip(ks, _entropy(spectra).tolist()):
-            out[k] = value
-    return out
+    return _grouped_entropies(_stacks(mats), len(mats))[1]
 
 
 def _marginal(state: State, keep: Iterable[int]) -> np.ndarray:
@@ -122,8 +135,11 @@ def _linear_entropy_sum(reds: Iterable[np.ndarray]) -> float:
 def _marginal_pass(state: State, with_pairs: bool = True) -> tuple[list[np.ndarray], dict]:
     """Single-site matrices and the correlations, from one pass over the marginals.
 
-    Pair marginals are skipped without `with_pairs`, for O alone. A density
-    that is not Hermitian, unit-trace and positive is rejected.
+    Pair marginals are skipped without `with_pairs`, for O alone. A pure
+    state's marginals come from one stacked contraction without per-marginal
+    checks: `RegisterShape` checked the dims, and the keeps are sorted and in
+    range. A density that is not Hermitian, unit-trace and positive is
+    rejected.
     """
     n = state.shape.nsites
     subsets = [(i,) for i in range(n)]
@@ -131,8 +147,12 @@ def _marginal_pass(state: State, with_pairs: bool = True) -> tuple[list[np.ndarr
         if n < 2:
             raise ValueError("pairwise measures require at least 2 subsystems")
         subsets += combinations(range(n), 2)
-    reds = [_marginal(state, keep) for keep in subsets]
-    entropies = _entropies(reds)
+    if isinstance(state, PureState):
+        groups = _pure_marginal_stacks(state.amplitudes, state.shape.dims, subsets)
+    else:
+        groups = _stacks([partial_trace_matrix(state.matrix, state.shape.dims, keep)
+                          for keep in subsets])
+    reds, entropies = _grouped_entropies(groups, len(subsets))
     pairs = dict(zip(subsets[n:], entropies[n:]))
     return reds[:n], _correlations(entropies[:n], pairs, von_neumann_entropy(state))
 

@@ -16,9 +16,10 @@ from .core import DensityMatrix, RegisterShape, _frozen_complex, _require_densit
 NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PureState:
-    """Normalized complex amplitude vector over a register."""
+    """Normalized complex amplitude vector over a register; compares and
+    hashes by identity, as `DensityMatrix` does."""
 
     shape: RegisterShape
     amplitudes: np.ndarray

@@ -20,6 +20,7 @@ from totalcorr.core import (
     _certified_factor,
     _certified_spectrum,
     _keep_first,
+    _pure_marginal_stacks,
     _require_density,
     _validation_report,
     partial_trace_matrix,
@@ -164,10 +165,32 @@ class TestPureMarginal:
         d = int(np.prod(dims))
         amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         n = len(dims)
-        for size in range(1, n + 1):
-            for keep in combinations(range(n), size):
-                got = pure_marginal(amps, dims, keep)
-                assert np.array_equal(got, moveaxis_marginal(amps, dims, keep)), keep
+        keeps = [k for size in range(1, n + 1) for k in combinations(range(n), size)]
+        for keep in keeps:
+            got = pure_marginal(amps, dims, keep)
+            assert np.array_equal(got, moveaxis_marginal(amps, dims, keep)), keep
+        # the same keeps as one list through the stacked contraction
+        seen = []
+        for ks, stack in _pure_marginal_stacks(amps, dims, keeps):
+            assert stack.shape == (len(ks),) + stack.shape[1:]
+            for k, got in zip(ks, stack):
+                assert np.array_equal(got, moveaxis_marginal(amps, dims, keeps[k])), keeps[k]
+            seen += ks
+        assert sorted(seen) == list(range(len(keeps)))
+
+    def test_chunked_stacks_bit_identical_to_moveaxis(self):
+        # twelve qubits: a chunk holds BLOCK_ENTRIES // (2 * 4096) = 2 keeps,
+        # so the 12 singles and the 66 pairs each span several chunks
+        dims = (2,) * 12
+        psi = random_pure(RegisterShape(dims), seed=21)
+        keeps = [(i,) for i in range(12)] + list(combinations(range(12), 2))
+        per_chunk = core.BLOCK_ENTRIES // (2 * 4096)
+        assert 1 <= per_chunk < 12
+        groups = list(_pure_marginal_stacks(psi.amplitudes, dims, keeps))
+        assert [(len(ks), stack.shape[1]) for ks, stack in groups] == [(12, 2), (66, 4)]
+        for ks, stack in groups:
+            for k, got in zip(ks, stack):
+                assert np.array_equal(got, moveaxis_marginal(psi.amplitudes, dims, keeps[k]))
 
     def test_keep_forms_agree(self):
         psi = random_pure(RegisterShape((3, 2, 2, 2)), seed=12)

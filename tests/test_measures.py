@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -397,7 +398,8 @@ class TestMarginalLayer:
         random_pure(RegisterShape((2, 3, 4)), seed=3),
         random_density(RegisterShape((2, 3, 4)), 3, seed=4),
         random_density(RegisterShape((2, 2, 3, 2)), 3, seed=5),
-    ], ids=["pure", "rank3", "stacks"])
+        random_pure(qubits(10), seed=6),
+    ], ids=["pure", "rank3", "stacks", "pure10"])
     def test_report_against_per_subset_entropies(self, state):
         # on (2, 3, 4) the pair marginals are 6x6, 8x8 and 12x12, each its own
         # stack; on (2, 2, 3, 2) the stacks hold three singles and three pairs each
@@ -416,6 +418,20 @@ class TestMarginalLayer:
         assert rep.O == pytest.approx(o_val, abs=1e-14)
         assert rep.M == pytest.approx(m_val, abs=1e-14)
         assert rep.S == pytest.approx(0.5 * (o_val + m_val), abs=1e-14)
+
+    def test_pure_report_memory_stays_chunk_sized(self):
+        # the stacked contraction of a 12-qubit state's 78 marginals holds one
+        # cache-sized chunk at a time; the 66 pair matrices in one stack with
+        # its conjugate would take about 8.4 MB
+        psi = random_pure(qubits(12), seed=7)
+        measure_report(random_pure(qubits(12), seed=8))
+        tracemalloc.start()
+        try:
+            measure_report(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
     def test_stacked_entropy_matches_scalar(self):
         spectra = np.array([

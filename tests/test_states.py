@@ -9,6 +9,7 @@ from totalcorr import (
     DensityMatrix,
     Ensemble,
     RegisterShape,
+    RoofResult,
     cluster,
     dm,
     epr,
@@ -160,6 +161,35 @@ class TestBuilders:
             Ensemble((0.7, 0.7), (epr(), epr()))
         with pytest.raises(ValueError):
             Ensemble((), ())
+
+
+class TestIdentityComparison:
+    # a generated __eq__ would compare the ndarray fields, whose element-wise
+    # result has no truth value; states compare and hash by identity
+    @pytest.mark.parametrize("build", [
+        lambda: random_pure(RegisterShape((2, 2)), 1),
+        lambda: random_density(RegisterShape((2, 2)), 2, 1),
+    ], ids=["pure", "density"])
+    def test_eq_hash_and_sets(self, build):
+        a, b = build(), build()
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a)
+        assert {a, b, a} == {a, b} and a in {a} and b not in {a}
+        assert {a: 1}[a] == 1
+
+    def test_ensemble_and_roof_result_compare_members(self):
+        psi, phi = random_pure(RegisterShape((2, 2)), 1), random_pure(RegisterShape((2, 2)), 2)
+        e = Ensemble((0.5, 0.5), (psi, phi))
+        assert e == Ensemble((0.5, 0.5), (psi, phi))
+        assert e != Ensemble((0.5, 0.5), (phi, psi))
+        assert e != Ensemble((0.5, 0.5), (psi, random_pure(RegisterShape((2, 2)), 2)))
+        r = RoofResult(0.25, e, (0.25, 0.5), True)
+        assert r == RoofResult(0.25, e, (0.25, 0.5), True)
+        assert r != RoofResult(0.25, Ensemble((1.0,), (psi,)), (0.25, 0.5), True)
+
+    def test_register_shape_keeps_value_equality(self):
+        assert RegisterShape((2, 3)) == RegisterShape([2, 3])
+        assert hash(RegisterShape((2, 3))) == hash(RegisterShape((2, 3)))
 
 
 class TestFlaggedMixture:
