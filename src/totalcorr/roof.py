@@ -363,63 +363,66 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
         vals, G = _pure_values((V @ A).reshape(-1, d), dims, measure, group)
         return vals.reshape(len(V), -1).sum(axis=1), G.reshape(len(V), m, d)
 
-    def start_line_search(idx):
-        # the derivative of the total along a direction D is 2 Re <grad, D>
-        iters[idx] += 1
-        reductions[idx] = 0
-        slope[idx] = 2.0 * _inner(grad[idx], direction[idx])
-        reset = idx[slope[idx] >= 0.0]
-        direction[reset] = -grad[reset]
-        slope[reset] = -2.0 * _inner(grad[reset], grad[reset])
-
     starts = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         starts.append(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))
-    V = _retract(np.stack(starts))
-    total, G = evaluate(V)
-    grad = _project(V, G @ A_dag)
+    V_out = _retract(np.stack(starts))
+    total_out, G = evaluate(V_out)
+    converged = total_out < cfg.tolerance
+    # the work set: the restarts still searching, in seed order, one row each
+    ids = np.flatnonzero(~converged)
+    V, total = V_out[ids], total_out[ids]
+    grad = _project(V, G[ids] @ A_dag)
     direction = -grad
-    step = np.ones(len(V))
-    slope = np.zeros(len(V))
-    iters = np.zeros(len(V), dtype=int)
-    reductions = np.zeros(len(V), dtype=int)
-    converged = total < cfg.tolerance
-    searching = np.flatnonzero(~converged)
-    start_line_search(searching)
-    while searching.size:
-        idx = searching
-        V_new = _retract(V[idx] + step[idx, None, None] * direction[idx])
+    step = np.ones(len(ids))
+    iters = np.ones(len(ids), dtype=int)
+    reductions = np.zeros(len(ids), dtype=int)
+    # the derivative of the total along a direction D is 2 Re <grad, D>
+    slope = 2.0 * _inner(grad, direction)
+    while ids.size:
+        V_new = _retract(V + step[:, None, None] * direction)
         total_new, G_new = evaluate(V_new)
-        ok = total_new < total[idx] + 1e-4 * step[idx] * slope[idx]
+        ok = total_new < total + 1e-4 * step * slope
 
-        failed = idx[~ok]
-        t, s = step[failed], slope[failed]
         # an Armijo failure at slope < 0 makes the curvature positive; a
         # non-finite or non-positive one falls back to halving
-        curv = 2.0 * (total_new[~ok] - total[failed] - s * t)
-        fit = curv > 0.0
-        t_min = np.where(fit, -s * t * t / np.where(fit, curv, 1.0), 0.5 * t)
-        step[failed] = np.clip(t_min, 0.1 * t, 0.5 * t)
-        reductions[failed] += 1
+        curv = 2.0 * (total_new - total - slope * step)
+        fit = ~ok & (curv > 0.0)
+        t_min = np.where(fit, -slope * step * step / np.where(fit, curv, 1.0), 0.5 * step)
+        reductions = np.where(ok, 0, reductions + 1)
         # each reduction at least halves the step, so 60 of them shrink it by
         # 1e18 or more: no step decreases the total, the restart is stationary
-        stuck = reductions[failed] == 60
-        converged[failed[stuck]] = True
+        stuck = reductions == 60
 
-        acc, V_acc, total_acc = idx[ok], V_new[ok], total_new[ok]
-        # the new gradient, and the old gradient and direction carried to V_acc
-        grad_acc, carried, transported = _project(
-            V_acc, np.array([G_new[ok] @ A_dag, grad[acc], direction[acc]]))
-        beta = np.maximum(0.0, _inner(grad_acc, grad_acc - carried) / _inner(grad[acc], grad[acc]))
-        direction[acc] = -grad_acc + beta[:, None, None] * transported
-        converged[acc] = (total[acc] - total_acc < cfg.tolerance) | (total_acc < cfg.tolerance)
-        V[acc], total[acc], grad[acc] = V_acc, total_acc, grad_acc
-        step[acc] *= 2.0
-        going = acc[~converged[acc] & (iters[acc] < cfg.max_iterations)]
-        start_line_search(going)
-        searching = np.sort(np.concatenate([failed[~stuck], going]))
-    return total, V @ A, converged
+        # the new gradient, and the old gradient and direction carried to V_new
+        grad_new, carried, transported = _project(
+            V_new, np.array([G_new @ A_dag, grad, direction]))
+        beta = np.maximum(0.0, _inner(grad_new, grad_new - carried) / _inner(grad, grad))
+        gained = (total - total_new < cfg.tolerance) | (total_new < cfg.tolerance)
+        done = ok & (gained | (iters >= cfg.max_iterations))
+        okm = ok[:, None, None]
+        V = np.where(okm, V_new, V)
+        total = np.where(ok, total_new, total)
+        grad = np.where(okm, grad_new, grad)
+        direction = np.where(okm, -grad_new + beta[:, None, None] * transported, direction)
+        step = np.where(ok, 2.0 * step, np.clip(t_min, 0.1 * step, 0.5 * step))
+
+        leaving = done | stuck
+        if leaving.any():
+            out = ids[leaving]
+            V_out[out], total_out[out] = V[leaving], total[leaving]
+            converged[out] = stuck[leaving] | (ok & gained)[leaving]
+            keep = ~leaving
+            ids, V, total, grad, direction, step, slope, iters, reductions, ok = (
+                a[keep] for a in (ids, V, total, grad, direction, step, slope, iters, reductions, ok))
+        # an accepted step starts the next line search
+        iters = iters + ok
+        new_slope = 2.0 * _inner(grad, direction)
+        reset = ok & (new_slope >= 0.0)
+        direction = np.where(reset[:, None, None], -grad, direction)
+        slope = np.where(ok, np.where(reset, -2.0 * _inner(grad, grad), new_slope), slope)
+    return total_out, V_out @ A, converged
 
 
 def _best_run(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
