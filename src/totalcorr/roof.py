@@ -335,23 +335,45 @@ def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X.conj().reshape(k, 1, n) @ Y.reshape(k, n, 1))[:, 0, 0].real
 
 
+def _bfgs_direction(g: np.ndarray, s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The memoryless BFGS direction -H g of each restart, and whether it took one.
+
+    H is the BFGS update of gamma I by the one pair (s, y), gamma =
+    <s, y> / <y, y> (Nocedal and Wright, Numerical Optimization, section
+    7.2): with a = <s, g> / <s, y>, q = gamma (g - a y) and b = <y, q> /
+    <s, y>, H g = q + (a - b) s. H is positive definite and meets the
+    secant condition H y = s. Where <s, y> <= 0 the direction is -g.
+    """
+    sy = _inner(s, y)
+    curved = sy > 0.0
+    sy = np.where(curved, sy, 1.0)
+    a = _inner(s, g) / sy
+    q = (sy / np.where(curved, _inner(y, y), 1.0))[:, None, None] * (g - a[:, None, None] * y)
+    b = _inner(y, q) / sy
+    d = np.where(curved[:, None, None], -(q + (a - b)[:, None, None] * s), -g)
+    return d, curved
+
+
 def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
-    """Restarts seeded by `seeds`, run in lock step: Riemannian Polak-Ribiere+
-    conjugate gradient on a stack of m x r isometries V[k], with member rows
-    W = V[k] A, `group` rows to a member. An iteration is one Armijo line
-    search along the retraction; a restart stops, converged, once a step
-    gains less than the tolerance or the total drops below it, and leaves
-    the batch. Each evaluation is one `_pure_values` call on the rows of the
-    restarts still searching, and every restart takes the steps it would
-    take alone.
+    """Restarts seeded by `seeds`, run in lock step: Riemannian memoryless
+    BFGS on a stack of m x r isometries V[k], with member rows W = V[k] A,
+    `group` rows to a member. An iteration is one Armijo line search along
+    the retraction; a restart stops, converged, once a step gains less than
+    the tolerance or the total drops below it, and leaves the batch. The
+    restarts still searching are one contiguous work set: each evaluation
+    is one `_pure_values` call on all their rows, and every restart takes
+    the steps it would take alone.
 
     The line search backtracks by safeguarded quadratic interpolation
     (Nocedal and Wright, Numerical Optimization, section 3.5): a failed trial
     step t is replaced by the minimizer of the parabola through the total,
-    the slope and the failed trial total, clipped to [t / 10, t / 2]. The
-    first trial of each search is twice the last accepted step. Only the
-    start point and accepted trials have their gradient projected onto the
-    tangent space.
+    the slope and the failed trial total, clipped to [t / 10, t / 2]. After
+    an accepted step t along D, one stacked projection at the new point
+    gives the gradient g, the old gradient carried there and the step s =
+    t D carried there; with y = g minus the carried gradient, the next
+    direction is `_bfgs_direction(g, s, y)`, and -g wherever its slope is
+    not negative. Its first trial is 1 after a quasi-Newton direction and
+    twice the last accepted step after -g.
 
     Returns the totals, the member rows V[k] A and the converged flags.
     """
@@ -381,7 +403,8 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
     # the derivative of the total along a direction D is 2 Re <grad, D>
     slope = 2.0 * _inner(grad, direction)
     while ids.size:
-        V_new = _retract(V + step[:, None, None] * direction)
+        moved = step[:, None, None] * direction
+        V_new = _retract(V + moved)
         total_new, G_new = evaluate(V_new)
         ok = total_new < total + 1e-4 * step * slope
 
@@ -390,23 +413,22 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
         curv = 2.0 * (total_new - total - slope * step)
         fit = ~ok & (curv > 0.0)
         t_min = np.where(fit, -slope * step * step / np.where(fit, curv, 1.0), 0.5 * step)
+        step = np.where(ok, step, np.clip(t_min, 0.1 * step, 0.5 * step))
         reductions = np.where(ok, 0, reductions + 1)
         # each reduction at least halves the step, so 60 of them shrink it by
         # 1e18 or more: no step decreases the total, the restart is stationary
         stuck = reductions == 60
 
-        # the new gradient, and the old gradient and direction carried to V_new
-        grad_new, carried, transported = _project(
-            V_new, np.array([G_new @ A_dag, grad, direction]))
-        beta = np.maximum(0.0, _inner(grad_new, grad_new - carried) / _inner(grad, grad))
+        # the new gradient, and the old gradient and the step carried to V_new
+        grad_new, carried, s = _project(V_new, np.array([G_new @ A_dag, grad, moved]))
+        direction_new, quasi = _bfgs_direction(grad_new, s, grad_new - carried)
         gained = (total - total_new < cfg.tolerance) | (total_new < cfg.tolerance)
         done = ok & (gained | (iters >= cfg.max_iterations))
         okm = ok[:, None, None]
         V = np.where(okm, V_new, V)
         total = np.where(ok, total_new, total)
         grad = np.where(okm, grad_new, grad)
-        direction = np.where(okm, -grad_new + beta[:, None, None] * transported, direction)
-        step = np.where(ok, 2.0 * step, np.clip(t_min, 0.1 * step, 0.5 * step))
+        direction = np.where(okm, direction_new, direction)
 
         leaving = done | stuck
         if leaving.any():
@@ -414,14 +436,16 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
             V_out[out], total_out[out] = V[leaving], total[leaving]
             converged[out] = stuck[leaving] | (ok & gained)[leaving]
             keep = ~leaving
-            ids, V, total, grad, direction, step, slope, iters, reductions, ok = (
-                a[keep] for a in (ids, V, total, grad, direction, step, slope, iters, reductions, ok))
+            ids, V, total, grad, direction, step, slope, iters, reductions, ok, quasi = (
+                a[keep] for a in (ids, V, total, grad, direction, step, slope, iters,
+                                  reductions, ok, quasi))
         # an accepted step starts the next line search
         iters = iters + ok
         new_slope = 2.0 * _inner(grad, direction)
         reset = ok & (new_slope >= 0.0)
         direction = np.where(reset[:, None, None], -grad, direction)
         slope = np.where(ok, np.where(reset, -2.0 * _inner(grad, grad), new_slope), slope)
+        step = np.where(ok, np.where(quasi & ~reset, 1.0, 2.0 * step), step)
     return total_out, V_out @ A, converged
 
 

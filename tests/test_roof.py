@@ -225,7 +225,8 @@ class TestLineSearch:
     def test_formation_roofs_within_objective_call_budget(self, monkeypatch):
         # the default-config roofs of the four bench formation states; a line
         # search that halves a failed step and doubles an accepted one makes
-        # 338 objective calls here, quadratic interpolation about 240
+        # 338 objective calls here, quadratic interpolation on conjugate
+        # gradient directions 240, and on memoryless BFGS directions 190
         calls = []
         pure_values = roof._pure_values
 
@@ -236,7 +237,42 @@ class TestLineSearch:
         monkeypatch.setattr(roof, "_pure_values", counted)
         for seed in range(20_000, 20_004):
             roof_minimize(random_density(Q2, 4, seed=seed), "M", RoofConfig())
-        assert len(calls) <= 270
+        assert len(calls) <= 210
+
+    @staticmethod
+    def tangents(seed, count=6):
+        """A stack of random isometries and three stacks of tangent vectors
+        there."""
+        rng = np.random.default_rng(seed)
+        shape = (count, 16, 4)
+        V = roof._retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        X = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
+        return roof._project(V, X)
+
+    def test_bfgs_direction_meets_the_secant_condition(self):
+        # H is minus the direction map, linear in g; with <s, y> > 0 it maps
+        # y to s, is symmetric and positive definite
+        g, s, y = self.tangents(1)
+        y = y * np.sign(roof._inner(s, y))[:, None, None]
+        assert (roof._inner(s, y) > 0).all()
+
+        def H(x):
+            d, quasi = roof._bfgs_direction(x, s, y)
+            assert quasi.all()
+            return -d
+
+        np.testing.assert_allclose(H(y), s, rtol=0, atol=1e-12)
+        assert (roof._inner(g, H(g)) > 0).all()
+        u = self.tangents(2)[0]
+        np.testing.assert_allclose(roof._inner(u, H(g)), roof._inner(H(u), g), rtol=1e-12)
+
+    def test_bfgs_direction_without_curvature_is_steepest_descent(self):
+        g, s, y = self.tangents(3)
+        y = -y * np.sign(roof._inner(s, y))[:, None, None]
+        y[0] = 0.0  # <s, y> = 0 exactly
+        d, quasi = roof._bfgs_direction(g, s, y)
+        assert not quasi.any()
+        assert np.array_equal(d, -g)
 
 
 class TestAgainstFormationOracle:
@@ -271,6 +307,13 @@ class TestAgainstFormationOracle:
             rho = werner(p)
             res = roof_minimize(rho, "M", RoofConfig(restarts=6, seed=5))
             assert res.value == pytest.approx(eof_two_qubit(rho), abs=5e-3)
+
+    def test_bench_formation_states_near_eof(self):
+        # the four default-config roofs of the bench formation workload
+        for seed in range(20_000, 20_004):
+            rho = random_density(Q2, 4, seed=seed)
+            assert roof_minimize(rho, "M", RoofConfig()).value == pytest.approx(
+                eof_two_qubit(rho), abs=5e-5)
 
     def test_roof_tracks_eof_on_random_density(self):
         rho = random_density(Q2, 2, seed=42)
