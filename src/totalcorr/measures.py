@@ -202,7 +202,10 @@ def subset_correlation_sum(state: State) -> float:
 
     A subset and its complement describe the same bipartition; the sum runs
     over the 2^(N-1) - 1 subsets containing subsystem 0 (full set excluded).
-    S(rho) is computed, and a density validated, once for the whole sum.
+    S(rho) is computed, and a density validated, once for the whole sum. A
+    pure state has S(part) = S(rest) and S(rho) = 0, so each cut adds twice
+    the entropy of its side of smaller dimension, and all of those sides
+    come from one stacked contraction.
     """
     n = state.shape.nsites
     if n < 2:
@@ -212,11 +215,19 @@ def subset_correlation_sum(state: State) -> float:
             f"subset sum over {2 ** (n - 1) - 1} bipartitions exceeds the "
             f"{SUBSET_SUM_MAX_SITES}-subsystem cap"
         )
-    whole = von_neumann_entropy(state)
+    cuts = [((0,) + tuple(i for i in range(1, n) if mask >> (i - 1) & 1),
+             tuple(i for i in range(1, n) if not mask >> (i - 1) & 1))
+            for mask in range(2 ** (n - 1) - 1)]
     total = 0.0
-    for mask in range(2 ** (n - 1) - 1):
-        part = (0,) + tuple(i for i in range(1, n) if mask >> (i - 1) & 1)
-        rest = tuple(i for i in range(1, n) if not mask >> (i - 1) & 1)
+    if isinstance(state, PureState):
+        dims = state.shape.dims
+        sides = [min(cut, key=lambda keep: math.prod(dims[i] for i in keep)) for cut in cuts]
+        groups = _pure_marginal_stacks(state.amplitudes, dims, sides)
+        for s_side in _grouped_entropies(groups, len(sides))[1]:
+            total += 2.0 * s_side
+        return total
+    whole = von_neumann_entropy(state)
+    for part, rest in cuts:
         s_p, s_r = _entropies([_marginal(state, part), _marginal(state, rest)])
         total += s_p + s_r - whole
     return total

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -74,6 +75,15 @@ class RoofConfig:
     strategy: str = "pure_roof"
 
     def __post_init__(self) -> None:
+        for name in ("restarts", "max_iterations", "ensemble_size", "seed"):
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    operator.index(value)
+                except TypeError:
+                    raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:

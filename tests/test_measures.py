@@ -186,6 +186,28 @@ class TestBipartiteAndSubsetSums:
         oracle = sum(bipartite_correlation(state, part) for part in parts)
         assert subset_correlation_sum(state) == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_pure_subset_sum_matches_its_density(self, n):
+        # the pure path takes each cut's smaller side once; the density path
+        # diagonalizes both sides and the whole state
+        psi = random_pure(qubits(n), seed=75 + n)
+        assert subset_correlation_sum(psi) == pytest.approx(
+            subset_correlation_sum(dm(psi)), rel=0, abs=1e-12)
+
+    def test_pure_subset_sum_diagonalizes_only_smaller_sides(self, monkeypatch):
+        # eight qubits: no side larger than four qubits, in one eigvalsh per size
+        psi = random_pure(qubits(8), seed=76)
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        subset_correlation_sum(psi)
+        assert sorted(sizes) == [2, 4, 8, 16]
+
     def test_subset_sum_diagonalizes_the_whole_state_once(self, monkeypatch):
         rho = random_density(qubits(4), 3, seed=74)
         whole = []

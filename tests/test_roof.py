@@ -155,6 +155,13 @@ class TestRoofMinimize:
         for tolerance in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 RoofConfig(tolerance=tolerance)
+        # counts and seeds must be integral at construction, not fail later
+        # inside range or numpy, nor be truncated
+        for field, value in (("restarts", 2.5), ("max_iterations", 3.7),
+                             ("ensemble_size", 4.5), ("seed", 0.5), ("seed", -1)):
+            with pytest.raises(ValueError, match=field):
+                RoofConfig(**{field: value})
+        assert RoofConfig(restarts=np.int64(3), seed=np.int32(2)).restarts == 3
 
     def test_rejects_invalid_density(self):
         not_psd = DensityMatrix(Q2, np.diag([0.7, 0.5, -0.1, -0.1]))
