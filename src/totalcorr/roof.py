@@ -1,14 +1,14 @@
 """Convex-roof extension of the pure-state measures to mixed states.
 
 The minimization runs over decompositions generated by m x r isometries
-acting on the eigen-ensemble of the state (ensemble steering). Riemannian
-conjugate gradient runs on the isometry, driven by the closed-form
-gradient of the members' marginal entropies, with an Armijo line search
-that backtracks by safeguarded quadratic interpolation. Restarts run in
-lock step as one batch on a leading axis: each objective evaluation
-covers the member rows of every restart still searching, in consecutive
-groups of restarts of at most ROW_BUDGET rows, so memory grows with
-restarts x members x dimension up to that budget.
+acting on the eigen-ensemble of the state (ensemble steering). A
+Riemannian memoryless BFGS method runs on the isometry, driven by the
+closed-form gradient of the members' marginal entropies, with an Armijo
+line search that backtracks by safeguarded quadratic interpolation.
+Restarts run in lock step as one compact work set on a leading axis:
+each objective evaluation covers the member rows of every restart still
+searching, in consecutive groups of restarts of at most ROW_BUDGET rows,
+so memory grows with restarts x members x dimension up to that budget.
 
 Both roofs are one loop over group sizes g: each member is g consecutive
 rows, a pure state for g = 1 and a mixture otherwise (Uhlmann, "Roofs and
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -35,6 +34,7 @@ from .core import (
     DensityMatrix,
     RegisterShape,
     ResourceLimitError,
+    _indices,
     _keep_first,
     _require_density,
 )
@@ -76,12 +76,8 @@ class RoofConfig:
 
     def __post_init__(self) -> None:
         for name in ("restarts", "max_iterations", "ensemble_size", "seed"):
-            value = getattr(self, name)
-            if value is not None:
-                try:
-                    operator.index(value)
-                except TypeError:
-                    raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if getattr(self, name) is not None:
+                _indices([getattr(self, name)], name)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.restarts < 1:
@@ -369,10 +365,10 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
     BFGS on a stack of m x r isometries V[k], with member rows W = V[k] A,
     `group` rows to a member. An iteration is one Armijo line search along
     the retraction; a restart stops, converged, once a step gains less than
-    the tolerance or the total drops below it, and leaves the batch. The
-    restarts still searching are one contiguous work set: each evaluation
-    is one `_pure_values` call on all their rows, and every restart takes
-    the steps it would take alone.
+    the tolerance or the total drops below it. The restarts still searching
+    are one contiguous work set, which a restart leaves when it stops: each
+    evaluation is one `_pure_values` call on all their rows, and every
+    restart takes the steps it would take alone.
 
     The line search backtracks by safeguarded quadratic interpolation
     (Nocedal and Wright, Numerical Optimization, section 3.5): a failed trial

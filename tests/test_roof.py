@@ -124,7 +124,7 @@ class TestRoofMinimize:
 
     def test_mixed_roof_two_qubit_rank_three(self):
         # the grouped optimum, three mixed members of three rows each, sits
-        # below both the pure roof (0.00675) and the direct value (0.208)
+        # below both the pure roof (0.00674) and the direct value (0.208)
         rho = random_density(Q2, 3, seed=7)
         res = roof_minimize(rho, "M", RoofConfig(strategy="mixed_roof"))
         assert res.value <= 0.00628
