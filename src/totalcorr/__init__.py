@@ -36,7 +36,6 @@ from .roof import (
     ensemble_from_isometry,
     eof_two_qubit,
     flags_residual,
-    pcrc_gap,
     roof_additivity_gap,
     roof_minimize,
 )

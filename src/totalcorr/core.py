@@ -177,16 +177,18 @@ def pure_marginal(amplitudes: np.ndarray, dims: Sequence[int], keep: Iterable[in
 
 def _pure_marginal_stacks(amplitudes: np.ndarray, dims: tuple[int, ...],
                           keeps: Sequence[tuple[int, ...]]) -> Iterator[tuple[list[int], np.ndarray]]:
-    """The marginals of a pure state on each of `keeps`, one stack per dimension.
+    """The marginals of a pure state on each of `keeps`, stacked by dimension.
 
     `dims` and every keep must be checked as `_check_dims` and `_check_keep`
     return them. For each marginal dimension dk, in order of first
     appearance, yields the positions in `keeps` of that dk and their
-    marginals as one (count, dk, dk) array. Each keep's amplitude tensor,
-    its kept sites first, is copied into a stack of dk x (D/dk) matrices F,
-    and one stacked F F^dag takes a chunk's marginals. A chunk's stack and
-    its conjugate hold at most BLOCK_ENTRIES entries together (one keep when
-    a single F is larger), so they stay in cache; one buffer of that size
+    marginals as (count, dk, dk) arrays of at most BLOCK_ENTRIES entries
+    (one marginal when a single one is larger), so a consumer that drops
+    each stack holds one at a time. Each keep's amplitude tensor, its kept
+    sites first, is copied into a stack of dk x (D/dk) matrices F, and one
+    stacked F F^dag takes a chunk's marginals. A chunk's stack and its
+    conjugate hold at most BLOCK_ENTRIES entries together (one keep when a
+    single F is larger), so they stay in cache; one buffer of that size
     serves every chunk and every dk. Each matrix is the one a lone
     F @ F.conj().T would give, bit for bit.
     """
@@ -199,16 +201,19 @@ def _pure_marginal_stacks(amplitudes: np.ndarray, dims: tuple[int, ...],
     for dk, ks in groups.items():
         size = min(per_chunk, len(ks)) * t.size
         buf, conj = flat[:, :size].reshape(2, -1, dk, t.size // dk)
-        out = np.empty((len(ks), dk, dk), dtype=complex)
-        for start in range(0, len(ks), per_chunk):
-            chunk = ks[start:start + per_chunk]
-            for slot, k in zip(buf, chunk):
-                moved = t.transpose(_keep_first(dims, keeps[k])[0])
-                slot.reshape(moved.shape)[...] = moved
-            m = len(chunk)
-            np.conjugate(buf[:m], out=conj[:m])
-            np.matmul(buf[:m], conj[:m].transpose(0, 2, 1), out=out[start:start + m])
-        yield ks, out
+        per_stack = max(1, BLOCK_ENTRIES // (dk * dk))
+        for first in range(0, len(ks), per_stack):
+            block = ks[first:first + per_stack]
+            out = np.empty((len(block), dk, dk), dtype=complex)
+            for start in range(0, len(block), per_chunk):
+                chunk = block[start:start + per_chunk]
+                for slot, k in zip(buf, chunk):
+                    moved = t.transpose(_keep_first(dims, keeps[k])[0])
+                    slot.reshape(moved.shape)[...] = moved
+                m = len(chunk)
+                np.conjugate(buf[:m], out=conj[:m])
+                np.matmul(buf[:m], conj[:m].transpose(0, 2, 1), out=out[start:start + m])
+            yield block, out
 
 
 # The low-rank spectrum path of `_certified_spectrum`. Below dimension 64 a dense

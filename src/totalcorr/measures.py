@@ -50,14 +50,17 @@ def _stacks(mats: Sequence[np.ndarray]) -> Iterator[tuple[list[int], np.ndarray]
         yield ks, np.stack([mats[k] for k in ks])
 
 
-def _grouped_entropies(groups: Iterable[tuple[list[int], np.ndarray]],
-                       count: int) -> tuple[list[np.ndarray], list[float]]:
-    """Each of `count` matrices and its entropy, by position, from stacks of
-    equal size and their positions; one eigvalsh per stack."""
-    mats, out = [None] * count, [0.0] * count
+def _grouped_entropies(groups: Iterable[tuple[list[int], np.ndarray]], count: int,
+                       kept: int = 0) -> tuple[list[np.ndarray], list[float]]:
+    """The matrices at positions below `kept`, and the entropy of each of
+    `count` matrices by position, from stacks of equal size and their
+    positions; one eigvalsh per stack. No other matrix outlives its stack."""
+    mats, out = [None] * kept, [0.0] * count
     for ks, stack in groups:
         for k, mat, value in zip(ks, stack, _entropy(np.linalg.eigvalsh(stack)).tolist()):
-            mats[k], out[k] = mat, value
+            out[k] = value
+            if k < kept:
+                mats[k] = mat
     return mats, out
 
 
@@ -152,9 +155,9 @@ def _marginal_pass(state: State, with_pairs: bool = True) -> tuple[list[np.ndarr
     else:
         groups = _stacks([partial_trace_matrix(state.matrix, state.shape.dims, keep)
                           for keep in subsets])
-    reds, entropies = _grouped_entropies(groups, len(subsets))
+    reds, entropies = _grouped_entropies(groups, len(subsets), kept=n)
     pairs = dict(zip(subsets[n:], entropies[n:]))
-    return reds[:n], _correlations(entropies[:n], pairs, von_neumann_entropy(state))
+    return reds, _correlations(entropies[:n], pairs, von_neumann_entropy(state))
 
 
 def _direct(state: State, name: str) -> float:

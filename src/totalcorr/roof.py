@@ -537,13 +537,6 @@ def eof_two_qubit(rho: DensityMatrix) -> float:
     return float(-x * math.log2(x) - (1 - x) * math.log2(1 - x))
 
 
-def pcrc_gap(rho: State, measure: str, config: RoofConfig | None = None) -> float:
-    """Direct value minus roof value; a converged negative beyond tolerance
-    is a counterexample report, not an error."""
-    direct = direct_measure(rho, measure)
-    return direct - roof_minimize(rho, measure, config).value
-
-
 def flags_residual(e: Ensemble, measure: str, config: RoofConfig | None = None) -> float:
     """|roof(flag-labeled mixture) - weighted sum of member roofs|."""
     flagged = flagged_mixture(e)

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from totalcorr import DensityMatrix, RegisterShape, random_density, random_pure, save_state
-from totalcorr.cli import main
+from totalcorr import (DensityMatrix, Ensemble, PureState, RegisterShape, RoofConfig, epr, ghz,
+                       measures, product, random_density, random_pure, save_state)
+from totalcorr.cli import (check_additivity, check_bound_M, check_entropy_ssa, check_flags,
+                           check_form2, main)
 
 
 def run(capsys, *argv):
@@ -275,6 +277,66 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "flags", "--trials", "1")
         assert code == 0
         assert out.startswith("PASS flags-equality")
+
+
+Q2, Q3, Q4 = (RegisterShape((2,) * n) for n in (2, 3, 4))
+
+
+def shift_at(monkeypatch, name, target, delta):
+    """Make `measures.<name>` read `delta` more on the one state equal to target."""
+    real = getattr(measures, name)
+
+    def data(state):
+        return state.amplitudes if isinstance(state, PureState) else state.matrix
+
+    def shifted(state):
+        return real(state) + (delta if np.array_equal(data(state), data(target)) else 0.0)
+
+    monkeypatch.setattr(measures, name, shifted)
+
+
+class TestClaimChecks:
+    # the checks that `verify` and tests/test_acceptance.py share name the
+    # input that broke their bound
+    @pytest.mark.parametrize("name, target, delta, check, trial", [
+        ("ssa_check", random_density(Q3, rank=4, seed=103), -10.0,
+         lambda: check_entropy_ssa(100, 5), 3),
+        ("measure_M", random_pure(Q3, seed=2), 10.0,
+         lambda: check_bound_M(random_pure(Q3, seed=k) for k in range(4)), 2),
+        ("measure_O", product([random_pure(Q2, seed=502), random_pure(Q2, seed=503)]), 1e-6,
+         lambda: check_additivity(500, 4)[0], 1),
+        ("measure_S", random_pure(Q4, seed=10_502), -10.0,
+         lambda: check_additivity(500, 4)[1], 2),
+        ("measure_S_form2", random_pure(Q4, seed=4), 1e-6, lambda: check_form2(3, 5), 1),
+    ], ids=["entropy-ssa", "bound-M", "pure-additivity", "pure-ssa", "form2"])
+    def test_check_fails_where_a_measure_breaks_the_bound(
+            self, monkeypatch, name, target, delta, check, trial):
+        assert check().passed
+        shift_at(monkeypatch, name, target, delta)
+        broken = check()
+        assert (broken.passed, broken.trial) == (False, trial)
+
+    def test_bound_M_attained_fails_below_the_bound(self):
+        # two EPR pairs have M = 2 against bound_M(4) = 3
+        attained = check_bound_M([ghz(3), ghz(4), product([epr(), epr()])], attained=True)
+        assert (attained.passed, attained.trial) == (False, 2)
+        assert attained.worst == pytest.approx(1.0)
+
+    def test_flags_fails_on_an_unconverged_roof(self):
+        # one line search leaves the two-member mixture's roof far above its
+        # minimum; a single pure member's roof is exact at once
+        ensembles = [Ensemble((1.0,), (epr(),)),
+                     Ensemble((0.5, 0.5), (random_pure(Q2, seed=1), random_pure(Q2, seed=2)))]
+        assert check_flags(ensembles, RoofConfig(restarts=8, seed=0)).passed
+        flags = check_flags(ensembles, RoofConfig(restarts=1, max_iterations=1, seed=0))
+        assert (flags.passed, flags.trial) == (False, 1)
+
+    def test_verify_reports_a_failure(self, capsys, monkeypatch):
+        shift_at(monkeypatch, "ssa_check", random_density(Q3, rank=2, seed=1), -10.0)
+        code, out, err = run(capsys, "verify", "entropy", "--trials", "3")
+        assert code == 1
+        assert out.startswith("FAIL entropy-ssa: min residual -")
+        assert json.loads(err)["failures"][0]["check"] == "entropy-ssa"
 
 
 class TestOptions:

@@ -180,14 +180,18 @@ class TestPureMarginal:
 
     def test_chunked_stacks_bit_identical_to_moveaxis(self):
         # twelve qubits: a chunk holds BLOCK_ENTRIES // (2 * 4096) = 2 keeps,
-        # so the 12 singles and the 66 pairs each span several chunks
+        # so the 12 singles and the 66 pairs each span several chunks but
+        # one stack; ten 64 x 64 marginals take stacks of BLOCK_ENTRIES entries
         dims = (2,) * 12
         psi = random_pure(RegisterShape(dims), seed=21)
-        keeps = [(i,) for i in range(12)] + list(combinations(range(12), 2))
+        keeps = ([(i,) for i in range(12)] + list(combinations(range(12), 2))
+                 + list(combinations(range(12), 6))[:10])
         per_chunk = core.BLOCK_ENTRIES // (2 * 4096)
         assert 1 <= per_chunk < 12
+        assert core.BLOCK_ENTRIES // 64 ** 2 == 4
         groups = list(_pure_marginal_stacks(psi.amplitudes, dims, keeps))
-        assert [(len(ks), stack.shape[1]) for ks, stack in groups] == [(12, 2), (66, 4)]
+        assert [(len(ks), stack.shape[1]) for ks, stack in groups] == [
+            (12, 2), (66, 4), (4, 64), (4, 64), (2, 64)]
         for ks, stack in groups:
             for k, got in zip(ks, stack):
                 assert np.array_equal(got, moveaxis_marginal(psi.amplitudes, dims, keeps[k]))

@@ -208,6 +208,19 @@ class TestBipartiteAndSubsetSums:
         subset_correlation_sum(psi)
         assert sorted(sizes) == [2, 4, 8, 16]
 
+    def test_pure_subset_sum_memory_is_bounded(self):
+        # twelve qubits: the 462 six-qubit sides alone take 30 MB as 64 x 64
+        # marginals; taken a stack of BLOCK_ENTRIES entries at a time, and
+        # dropped once their entropies are known, they never coexist
+        psi = random_pure(qubits(12), seed=3)
+        tracemalloc.start()
+        try:
+            subset_correlation_sum(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1024 * 1024
+
     def test_subset_sum_diagonalizes_the_whole_state_once(self, monkeypatch):
         rho = random_density(qubits(4), 3, seed=74)
         whole = []

@@ -14,7 +14,6 @@ from totalcorr import (
     ghz,
     measure_M,
     mix,
-    pcrc_gap,
     product,
     random_density,
     random_pure,
@@ -22,6 +21,7 @@ from totalcorr import (
     roof_minimize,
 )
 from totalcorr import roof
+from totalcorr.cli import check_pcrc
 from totalcorr.core import ResourceLimitError, partial_trace_matrix
 from totalcorr.measures import EIG_CLAMP, direct_measure
 from totalcorr.roof import _cuts, _pure_values
@@ -332,11 +332,34 @@ class TestDerivedChecks:
     def test_pcrc_gap_classically_correlated(self):
         # direct M on the 50/50 |00>,|11> mixture is 0.5; the roof over
         # product members is 0, so the gap sits at exactly one half
-        gap = pcrc_gap(classically_correlated(), "M", FAST)
-        assert gap == pytest.approx(0.5, abs=1e-6)
+        pcrc = check_pcrc([classically_correlated()], FAST)
+        assert pcrc.worst == pytest.approx(0.5, abs=1e-6)
+        assert (pcrc.passed, pcrc.findings, pcrc.miss) == (True, 0, None)
 
     def test_pcrc_gap_pure_state_zero(self):
-        assert abs(pcrc_gap(ghz(3), "S")) < 1e-12
+        assert abs(check_pcrc([ghz(3)], RoofConfig()).worst) < 1e-12
+
+    def test_pcrc_check_fails_on_an_oracle_that_disagrees(self):
+        # state seed 17 has the one converged negative gap of `verify pcrc`
+        densities = [random_density(Q2, rank=2, seed=k) for k in range(20)]
+        cfg = RoofConfig(restarts=8, seed=0)
+        assert check_pcrc(densities, cfg).findings == 1
+        pcrc = check_pcrc(densities, cfg, oracle=lambda rho: eof_two_qubit(rho) + 1.0)
+        assert (pcrc.passed, pcrc.findings) == (False, 0)
+        trial, gap, value, oracle = pcrc.miss
+        assert (trial, gap) == (17, pcrc.worst)
+        assert oracle - value == pytest.approx(1.0, abs=5e-3)
+
+    def test_pcrc_check_needs_the_oracle_above_the_direct_value(self):
+        # state seed 80_077 has a gap of -1.9e-3 that the formation value
+        # certifies; an oracle at the direct value lies within 5e-3 of the
+        # roof, but shows no gap
+        rho = random_density(Q2, rank=2, seed=80_077)
+        cfg = RoofConfig(restarts=6, seed=13)
+        assert check_pcrc([rho], cfg).findings == 1
+        pcrc = check_pcrc([rho], cfg, oracle=measure_M)
+        assert (pcrc.passed, pcrc.miss[0]) == (False, 0)
+        assert -5e-3 < pcrc.worst < -1e-6
 
     def test_flags_residual_single_member(self):
         e = Ensemble((1.0,), (epr(),))
