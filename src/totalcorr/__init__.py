@@ -12,7 +12,6 @@ from .core import (
 )
 from .measures import (
     MeasureReport,
-    bipartite_correlation,
     bound_M,
     bound_S,
     direct_measure,
@@ -24,16 +23,13 @@ from .measures import (
     measure_S_form2,
     measure_report,
     mutual_information,
-    pairwise_probe,
     relative_entropy,
     ssa_check,
-    subset_correlation_sum,
     von_neumann_entropy,
 )
 from .roof import (
     RoofConfig,
     RoofResult,
-    ensemble_from_isometry,
     eof_two_qubit,
     flags_residual,
     roof_additivity_gap,

@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     DensityMatrix,
     RegisterShape,
-    ResourceLimitError,
     SupportError,
     _check_keep,
     _pure_marginal_stacks,
@@ -31,7 +30,6 @@ from .states import PureState, State, as_density
 
 EIG_CLAMP = 1e-12
 SUPPORT_TOL = 1e-10
-SUBSET_SUM_MAX_SITES = 12
 MEASURE_NAMES = ("M", "O", "S", "MW")
 
 
@@ -104,11 +102,6 @@ def mutual_information(state: State, a: Iterable[int], b: Iterable[int]) -> floa
     return s_a + s_b - s_ab
 
 
-def pairwise_probe(state: State, i: int, j: int) -> float:
-    """P(i, j) = I(i:j)/2, the two-site total-correlation probe."""
-    return 0.5 * mutual_information(state, (i,), (j,))
-
-
 def _correlations(singles: Sequence, pairs: dict, whole) -> dict:
     """P of each pair, O, M and S from marginal entropies, keyed by name.
 
@@ -138,7 +131,7 @@ def _linear_entropy_sum(reds: Iterable[np.ndarray]) -> float:
 def _marginal_pass(state: State, with_pairs: bool = True) -> tuple[list[np.ndarray], dict]:
     """Single-site matrices and the correlations, from one pass over the marginals.
 
-    Pair marginals are skipped without `with_pairs`, for O alone. A pure
+    Pair marginals are skipped without `with_pairs`, for O and MW. A pure
     state's marginals come from one stacked contraction without per-marginal
     checks: `RegisterShape` checked the dims, and the keeps are sorted and in
     range. A density that is not Hermitian, unit-trace and positive is
@@ -161,12 +154,10 @@ def _marginal_pass(state: State, with_pairs: bool = True) -> tuple[list[np.ndarr
 
 
 def _direct(state: State, name: str) -> float:
-    """Direct value of M, O, S or MW from one marginal pass."""
-    if name != "MW":
-        return _marginal_pass(state, name != "O")[1][name]
-    if isinstance(state, DensityMatrix):
-        _require_density(state)
-    return _linear_entropy_sum(_marginal(state, (i,)) for i in range(state.shape.nsites))
+    """Direct value of M, O, S or MW from one marginal pass; O and MW skip
+    the pair marginals."""
+    reds, corr = _marginal_pass(state, name not in ("O", "MW"))
+    return _linear_entropy_sum(reds) if name == "MW" else corr[name]
 
 
 def measure_M(state: State) -> float:
@@ -187,53 +178,6 @@ def measure_S(state: State) -> float:
 def measure_MW(state: State) -> float:
     """Sum of single-site linear entropies."""
     return _direct(state, "MW")
-
-
-def bipartite_correlation(state: State, part: Iterable[int]) -> float:
-    """S(rho_part) + S(rho_complement) - S(rho) across one bipartition."""
-    n = state.shape.nsites
-    part = _check_keep(part, n)
-    rest = tuple(i for i in range(n) if i not in part)
-    if not rest:
-        raise ValueError("bipartition must be proper and non-empty")
-    s_p, s_r = _entropies([_marginal(state, part), _marginal(state, rest)])
-    return s_p + s_r - von_neumann_entropy(state)
-
-
-def subset_correlation_sum(state: State) -> float:
-    """Sum of bipartite_correlation over all bipartitions, each counted once.
-
-    A subset and its complement describe the same bipartition; the sum runs
-    over the 2^(N-1) - 1 subsets containing subsystem 0 (full set excluded).
-    S(rho) is computed, and a density validated, once for the whole sum. A
-    pure state has S(part) = S(rest) and S(rho) = 0, so each cut adds twice
-    the entropy of its side of smaller dimension, and all of those sides
-    come from one stacked contraction.
-    """
-    n = state.shape.nsites
-    if n < 2:
-        raise ValueError("subset sum requires at least 2 subsystems")
-    if n > SUBSET_SUM_MAX_SITES:
-        raise ResourceLimitError(
-            f"subset sum over {2 ** (n - 1) - 1} bipartitions exceeds the "
-            f"{SUBSET_SUM_MAX_SITES}-subsystem cap"
-        )
-    cuts = [((0,) + tuple(i for i in range(1, n) if mask >> (i - 1) & 1),
-             tuple(i for i in range(1, n) if not mask >> (i - 1) & 1))
-            for mask in range(2 ** (n - 1) - 1)]
-    total = 0.0
-    if isinstance(state, PureState):
-        dims = state.shape.dims
-        sides = [min(cut, key=lambda keep: math.prod(dims[i] for i in keep)) for cut in cuts]
-        groups = _pure_marginal_stacks(state.amplitudes, dims, sides)
-        for s_side in _grouped_entropies(groups, len(sides))[1]:
-            total += 2.0 * s_side
-        return total
-    whole = von_neumann_entropy(state)
-    for part, rest in cuts:
-        s_p, s_r = _entropies([_marginal(state, part), _marginal(state, rest)])
-        total += s_p + s_r - whole
-    return total
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

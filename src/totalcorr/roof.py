@@ -26,7 +26,6 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -114,22 +113,6 @@ def _eigen(rho: DensityMatrix) -> tuple[int, np.ndarray, np.ndarray]:
 def _eigen_rows(lam: np.ndarray, vecs: np.ndarray, r: int) -> np.ndarray:
     """r x D matrix whose rows are sqrt(lambda_k) * v_k for the first r eigenpairs."""
     return (vecs[:, :r] * np.sqrt(np.clip(lam[:r], 0.0, None))).T
-
-
-def ensemble_from_isometry(rho: DensityMatrix, V: np.ndarray) -> Ensemble:
-    """Pure-state ensemble steered by an m x r isometry from the eigen-ensemble."""
-    V = np.asarray(V, dtype=complex)
-    if V.ndim != 2:
-        raise ValueError("V must be a matrix")
-    m, r = V.shape
-    dev = np.max(np.abs(V.conj().T @ V - np.eye(r)))
-    if dev > 1e-8:
-        raise ValueError(f"V is not an isometry (max |V^dag V - I| = {dev:.3e})")
-    rank, lam, vecs = _eigen(rho)
-    if r < rank:
-        raise ValueError("isometry has fewer columns than the rank of rho")
-    weights, _, members = _decompose(rho.shape, V @ _eigen_rows(lam, vecs, r), 1)
-    return Ensemble(tuple(weights), tuple(members))
 
 
 def _decompose(shape: RegisterShape, W: np.ndarray, group: int):

@@ -9,7 +9,6 @@ from totalcorr import (
     DensityMatrix,
     RegisterShape,
     SupportError,
-    bipartite_correlation,
     bound_M,
     bound_S,
     cluster,
@@ -24,17 +23,14 @@ from totalcorr import (
     measure_S_form2,
     measure_report,
     mutual_information,
-    pairwise_probe,
     product,
     random_density,
     random_pure,
     relative_entropy,
     ssa_check,
-    subset_correlation_sum,
     von_neumann_entropy,
     w,
 )
-from totalcorr.core import ResourceLimitError
 from totalcorr.measures import EIG_CLAMP, _entropy
 from totalcorr.states import PureState
 
@@ -113,13 +109,7 @@ class TestMutualInformation:
         # int() would truncate these to I(0:1) = 1
         with pytest.raises(ValueError, match="integers"):
             mutual_information(state, [0.5], [1.9])
-        with pytest.raises(ValueError, match="integers"):
-            bipartite_correlation(state, [0.0])
         assert mutual_information(state, [np.int64(0)], [np.int64(1)]) == pytest.approx(1.0)
-
-    def test_probe_is_half(self):
-        assert pairwise_probe(dm(epr()), 0, 1) == pytest.approx(1.0, abs=1e-9)
-        assert pairwise_probe(ghz(4), 0, 3) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestDirectMeasures:
@@ -152,97 +142,6 @@ class TestDirectMeasures:
     def test_M_rejects_single_site(self):
         with pytest.raises(ValueError):
             measure_M(random_qubit(0))
-
-
-class TestBipartiteAndSubsetSums:
-    def test_ghz4_half_split(self):
-        assert bipartite_correlation(ghz(4), {0, 1}) == pytest.approx(2.0, abs=1e-9)
-
-    def test_product_across_cut(self):
-        psi = product([epr(), epr()])
-        # cut {0,1}|{2,3} separates the two EPR pairs
-        assert abs(bipartite_correlation(psi, {0, 1})) < 1e-9
-
-    def test_epr2_interleaved_split(self):
-        assert bipartite_correlation(EPR2, {0, 2}) == pytest.approx(4.0, abs=1e-9)
-
-    def test_rejects_trivial_partition(self):
-        with pytest.raises(ValueError):
-            bipartite_correlation(ghz(3), {0, 1, 2})
-
-    def test_subset_sum_values(self):
-        assert subset_correlation_sum(ghz(3)) == pytest.approx(6.0, abs=1e-9)
-        assert subset_correlation_sum(epr()) == pytest.approx(2.0, abs=1e-9)
-        psi = product([random_qubit(s) for s in range(3)])
-        assert abs(subset_correlation_sum(psi)) < 1e-9
-
-    @pytest.mark.parametrize("state", [
-        ghz(3), random_pure(RegisterShape((2, 3, 2)), seed=71),
-        random_density(qubits(3), 3, seed=72), random_density(RegisterShape((2, 3, 2)), 4, seed=73),
-    ])
-    def test_subset_sum_matches_per_bipartition_sum(self, state):
-        n = state.shape.nsites
-        parts = [{0} | set(rest) for size in range(n - 1) for rest in combinations(range(1, n), size)]
-        oracle = sum(bipartite_correlation(state, part) for part in parts)
-        assert subset_correlation_sum(state) == pytest.approx(oracle, abs=1e-12)
-
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_pure_subset_sum_matches_its_density(self, n):
-        # the pure path takes each cut's smaller side once; the density path
-        # diagonalizes both sides and the whole state
-        psi = random_pure(qubits(n), seed=75 + n)
-        assert subset_correlation_sum(psi) == pytest.approx(
-            subset_correlation_sum(dm(psi)), rel=0, abs=1e-12)
-
-    def test_pure_subset_sum_diagonalizes_only_smaller_sides(self, monkeypatch):
-        # eight qubits: no side larger than four qubits, in one eigvalsh per size
-        psi = random_pure(qubits(8), seed=76)
-        sizes = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counting(a, *args, **kwargs):
-            sizes.append(np.shape(a)[-1])
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        subset_correlation_sum(psi)
-        assert sorted(sizes) == [2, 4, 8, 16]
-
-    def test_pure_subset_sum_memory_is_bounded(self):
-        # twelve qubits: the 462 six-qubit sides alone take 30 MB as 64 x 64
-        # marginals; taken a stack of BLOCK_ENTRIES entries at a time, and
-        # dropped once their entropies are known, they never coexist
-        psi = random_pure(qubits(12), seed=3)
-        tracemalloc.start()
-        try:
-            subset_correlation_sum(psi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 1024 * 1024
-
-    def test_subset_sum_diagonalizes_the_whole_state_once(self, monkeypatch):
-        rho = random_density(qubits(4), 3, seed=74)
-        whole = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counting(a, *args, **kwargs):
-            whole.append(np.shape(a)[-1] == rho.shape.dim)
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        subset_correlation_sum(rho)
-        assert sum(whole) == 1 and len(whole) > 1
-
-    def test_subset_sum_rejects_invalid_density(self):
-        not_psd = DensityMatrix(qubits(3), np.diag([0.7, 0.5, -0.2, 0, 0, 0, 0, 0]))
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            subset_correlation_sum(not_psd)
-
-    def test_subset_sum_site_cap(self):
-        psi = product([random_qubit(s) for s in range(13)])
-        with pytest.raises(ResourceLimitError):
-            subset_correlation_sum(psi)
 
 
 class TestRelativeEntropy:
@@ -307,10 +206,6 @@ class TestBounds:
         assert bound_M(5, 2) == pytest.approx(5.0)
         assert bound_S(4, 2) == pytest.approx(2.5)
 
-    def test_ghz_attains_bound_M(self):
-        for n in range(2, 9):
-            assert measure_M(ghz(n)) == pytest.approx(bound_M(n, 2), abs=1e-9)
-
     def test_random_pure_below_bound(self):
         for n in (3, 4, 5):
             for seed in range(50):
@@ -345,7 +240,7 @@ class TestMonotoneProperties:
             for _ in range(3):
                 u = np.kron(u, haar_unitary(2, rng))
             rotated = PureState(psi.shape, u @ psi.amplitudes)
-            for fn in (measure_M, measure_O, measure_S, measure_MW, subset_correlation_sum):
+            for fn in (measure_M, measure_O, measure_S, measure_MW):
                 assert abs(fn(rotated) - fn(psi)) < 1e-8
 
     def test_vanishes_only_on_factorizable(self):
@@ -500,7 +395,7 @@ class TestMarginalLayer:
 class TestInputValidation:
     @pytest.mark.parametrize("fn", [
         measure_M, measure_O, measure_S, measure_MW, measure_report,
-        von_neumann_entropy, linear_entropy, lambda rho: pairwise_probe(rho, 0, 1),
+        von_neumann_entropy, linear_entropy, lambda rho: mutual_information(rho, (0,), (1,)),
     ])
     def test_negative_eigenvalue_rejected(self, fn):
         with pytest.raises(ValueError, match="negative eigenvalue"):
@@ -529,4 +424,4 @@ class TestReportAgreesWithMeasures:
         assert rep.S == measure_S(state)
         assert rep.MW == measure_MW(state)
         for (i, j), value in rep.pair_values.items():
-            assert value == pairwise_probe(state, i, j)
+            assert value == 0.5 * mutual_information(state, (i,), (j,))

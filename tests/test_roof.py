@@ -9,14 +9,12 @@ from totalcorr import (
     dm,
     eof_two_qubit,
     epr,
-    ensemble_from_isometry,
     flags_residual,
     ghz,
     measure_M,
     mix,
     product,
     random_density,
-    random_pure,
     roof_additivity_gap,
     roof_minimize,
 )
@@ -44,32 +42,6 @@ def classically_correlated():
     mat = np.zeros((4, 4), dtype=complex)
     mat[0, 0] = mat[3, 3] = 0.5
     return DensityMatrix(Q2, mat)
-
-
-class TestEnsembleFromIsometry:
-    def test_identity_gives_eigen_ensemble(self):
-        rho = random_density(Q2, 3, seed=32)
-        lam = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1]
-        ens = ensemble_from_isometry(rho, np.eye(3))
-        assert np.allclose(sorted(ens.weights, reverse=True), lam[:3], atol=1e-10)
-
-    def test_steered_ensemble_reconstructs_rho(self):
-        rho = random_density(Q2, 2, seed=33)
-        rng = np.random.default_rng(34)
-        x = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        v, _ = np.linalg.qr(x)
-        ens = ensemble_from_isometry(rho, v)
-        assert np.max(np.abs(mix(ens).matrix - rho.matrix)) < 1e-10
-
-    def test_rejects_non_isometry(self):
-        rho = random_density(Q2, 2, seed=35)
-        with pytest.raises(ValueError):
-            ensemble_from_isometry(rho, np.ones((3, 2)))
-
-    def test_rejects_rank_deficient_steering(self):
-        rho = random_density(Q2, 3, seed=36)
-        with pytest.raises(ValueError):
-            ensemble_from_isometry(rho, np.eye(2))
 
 
 class TestRoofMinimize:
@@ -106,14 +78,17 @@ class TestRoofMinimize:
         assert res.value == pytest.approx(recomputed, abs=1e-12)
         assert np.max(np.abs(mix(res.ensemble).matrix - rho.matrix)) < 1e-10
 
-    def test_upper_bounded_by_eigen_ensemble(self):
-        rho = random_density(Q2, 4, seed=38)
-        eigen = ensemble_from_isometry(rho, np.eye(4))
-        eigen_avg = sum(
-            p * direct_measure(member, "M")
-            for p, member in zip(eigen.weights, eigen.members)
-        )
-        assert roof_minimize(rho, "M", FAST).value <= eigen_avg + 1e-9
+    @pytest.mark.parametrize("strategy", ["pure_roof", "mixed_roof"])
+    @pytest.mark.parametrize("measure", ["M", "O", "S", "MW"])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 3)])
+    def test_upper_bounded_by_eigen_ensemble(self, dims, measure, strategy):
+        shape = RegisterShape(dims)
+        rho = random_density(shape, 4, seed=38)
+        lam, vecs = np.linalg.eigh(rho.matrix)
+        eigen_avg = sum(p * direct_measure(PureState(shape, vecs[:, k]), measure)
+                        for k, p in enumerate(lam) if p > 1e-12)
+        config = RoofConfig(restarts=4, seed=3, strategy=strategy)
+        assert roof_minimize(rho, measure, config).value <= eigen_avg + 1e-9
 
     def test_deterministic_for_fixed_seed(self):
         rho = random_density(Q2, 2, seed=39)
