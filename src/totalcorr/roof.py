@@ -4,7 +4,11 @@ The minimization runs over decompositions generated by m x r isometries
 acting on the eigen-ensemble of the state (ensemble steering). A
 Riemannian memoryless BFGS method runs on the isometry, driven by the
 closed-form gradient of the members' marginal entropies, with an Armijo
-line search that backtracks by safeguarded quadratic interpolation.
+line search that backtracks by safeguarded quadratic interpolation. Trial
+points are retracted by Cholesky-QR, and the random starts and the
+returned isometries by Householder QR (Absil, Mahony and Sepulchre,
+Optimization Algorithms on Matrix Manifolds, ch. 4), both giving the Q
+factor whose R has a positive diagonal.
 Restarts run in lock step as one compact work set on a leading axis:
 each objective evaluation covers the member rows of every restart still
 searching, in consecutive groups of restarts of at most ROW_BUDGET rows,
@@ -124,7 +128,7 @@ def _decompose(shape: RegisterShape, W: np.ndarray, group: int):
     """
     d = W.shape[1]
     grouped = W.reshape(-1, group * d)
-    p = np.array([np.vdot(w, w).real for w in grouped])
+    p = np.einsum("kd,kd->k", grouped, grouped.conj()).real
     live = p >= WEIGHT_DROP
     grouped, p = grouped[live] / np.sqrt(p[live])[:, None], p[live]
     if group == 1:
@@ -299,11 +303,37 @@ def _pure_values(W: np.ndarray, dims: tuple[int, ...], measure: str,
 
 # --- optimizer ---------------------------------------------------------
 
-def _retract(X: np.ndarray) -> np.ndarray:
-    """Q of each X = QR with the phases fixed so that R has a positive diagonal."""
+def _householder(X: np.ndarray) -> np.ndarray:
+    """Q of each X = QR by Householder QR, with the phases fixed so that R
+    has a positive diagonal."""
     Q, R = np.linalg.qr(X)
     d = np.diagonal(R, axis1=-2, axis2=-1)
     return Q * (d / np.abs(d))[..., None, :]
+
+
+def _retract(X: np.ndarray) -> np.ndarray:
+    """Q of each X = QR with R's diagonal positive, by Cholesky-QR.
+
+    With L L^dag the Cholesky factorization of G = X^dag X, R = L^dag and
+    Q = X L^-dag; a QR factor with a positive diagonal is unique, so this
+    is the phase-fixed Householder Q up to rounding, as long as G stays
+    well conditioned: Q^dag Q - I grows as about cond(G) times the machine
+    epsilon. X = V + t D with D tangent at the isometry V has G = I + t^2
+    D^dag D, at least I in exact arithmetic, but a long step along a nearly
+    rank-deficient D makes it ill-conditioned and, in floating point, not
+    even positive definite. Over the roofs of the test suite, and roofs
+    with `ensemble_size` equal to the rank, cond(G) stayed below 1e3 and
+    |Q^dag Q - I| below 5e-14. A stack whose factorization fails is
+    retracted one matrix at a time, and a matrix that fails alone takes
+    `_householder`, so each X gets the same Q in a stack as alone.
+    """
+    try:
+        L = np.linalg.cholesky(X.conj().swapaxes(-1, -2) @ X)
+    except np.linalg.LinAlgError:
+        if len(X) == 1:
+            return _householder(X)
+        return np.concatenate([_retract(x) for x in X[:, None]])
+    return X @ np.linalg.inv(L).conj().swapaxes(-1, -2)
 
 
 def _project(V: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -346,12 +376,14 @@ def _bfgs_direction(g: np.ndarray, s: np.ndarray, y: np.ndarray) -> tuple[np.nda
 def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
     """Restarts seeded by `seeds`, run in lock step: Riemannian memoryless
     BFGS on a stack of m x r isometries V[k], with member rows W = V[k] A,
-    `group` rows to a member. An iteration is one Armijo line search along
-    the retraction; a restart stops, converged, once a step gains less than
-    the tolerance or the total drops below it. The restarts still searching
-    are one contiguous work set, which a restart leaves when it stops: each
-    evaluation is one `_pure_values` call on all their rows, and every
-    restart takes the steps it would take alone.
+    `group` rows to a member. A restart starts from the phase-fixed
+    Householder Q of a Gaussian m x r matrix, and an iteration is one Armijo
+    line search along the retraction `_retract` (Cholesky-QR); a restart
+    stops, converged, once a step gains less than the tolerance or the
+    total drops below it. The restarts still searching are one contiguous
+    work set, which a restart leaves when it stops: each evaluation is one
+    `_pure_values` call on all their rows, and every restart takes the
+    steps it would take alone.
 
     The line search backtracks by safeguarded quadratic interpolation
     (Nocedal and Wright, Numerical Optimization, section 3.5): a failed trial
@@ -364,27 +396,30 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
     not negative. Its first trial is 1 after a quasi-Newton direction and
     twice the last accepted step after -g.
 
-    Returns the totals, the member rows V[k] A and the converged flags.
+    Returns the totals, the member rows V[k] A (V[k] passed through
+    `_householder`) and the converged flags.
     """
-    r, d = A.shape
+    r = len(A)
     A_dag = A.conj().T
 
     def evaluate(V):
-        # totals, and the gradient with respect to conj(W), not yet projected
-        vals, G = _pure_values((V @ A).reshape(-1, d), dims, measure, group)
-        return vals.reshape(len(V), -1).sum(axis=1), G.reshape(len(V), m, d)
+        # totals, and the gradient with respect to conj(V), not yet projected
+        vals, G = _pure_values(V.reshape(-1, r) @ A, dims, measure, group)
+        return vals.reshape(len(V), -1).sum(axis=1), (G @ A_dag).reshape(V.shape)
 
     starts = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         starts.append(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))
-    V_out = _retract(np.stack(starts))
+    # a Gaussian start has no bound on its conditioning (it is square when
+    # m = r), so it takes Householder QR
+    V_out = _householder(np.stack(starts))
     total_out, G = evaluate(V_out)
     converged = total_out < cfg.tolerance
     # the work set: the restarts still searching, in seed order, one row each
     ids = np.flatnonzero(~converged)
     V, total = V_out[ids], total_out[ids]
-    grad = _project(V, G[ids] @ A_dag)
+    grad = _project(V, G[ids])
     direction = -grad
     step = np.ones(len(ids))
     iters = np.ones(len(ids), dtype=int)
@@ -409,7 +444,7 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
         stuck = reductions == 60
 
         # the new gradient, and the old gradient and the step carried to V_new
-        grad_new, carried, s = _project(V_new, np.array([G_new @ A_dag, grad, moved]))
+        grad_new, carried, s = _project(V_new, np.array([G_new, grad, moved]))
         direction_new, quasi = _bfgs_direction(grad_new, s, grad_new - carried)
         gained = (total - total_new < cfg.tolerance) | (total_new < cfg.tolerance)
         done = ok & (gained | (iters >= cfg.max_iterations))
@@ -435,7 +470,9 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
         direction = np.where(reset[:, None, None], -grad, direction)
         slope = np.where(ok, np.where(reset, -2.0 * _inner(grad, grad), new_slope), slope)
         step = np.where(ok, np.where(quasi & ~reset, 1.0, 2.0 * step), step)
-    return total_out, V_out @ A, converged
+    # the returned rows are an exact decomposition only if V_out is an
+    # isometry, which Cholesky-QR leaves to the conditioning of the steps
+    return total_out, _householder(V_out) @ A, converged
 
 
 def _best_run(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):

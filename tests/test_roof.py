@@ -198,7 +198,7 @@ class TestLineSearch:
         # call; each must come out bit for bit as if projected alone
         rng = np.random.default_rng(batch)
         shape = (batch, 16, 4)
-        V = roof._retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        V = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
         X = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
         stacked = roof._project(V, X)
         for k in range(3):
@@ -208,7 +208,8 @@ class TestLineSearch:
         # the default-config roofs of the four bench formation states; a line
         # search that halves a failed step and doubles an accepted one makes
         # 338 objective calls here, quadratic interpolation on conjugate
-        # gradient directions 240, and on memoryless BFGS directions 190
+        # gradient directions 240, and on memoryless BFGS directions 190, with
+        # the Householder and the Cholesky-QR retraction alike
         calls = []
         pure_values = roof._pure_values
 
@@ -221,13 +222,61 @@ class TestLineSearch:
             roof_minimize(random_density(Q2, 4, seed=seed), "M", RoofConfig())
         assert len(calls) <= 210
 
+    @pytest.mark.parametrize("m, r", [(16, 4), (9, 3), (4, 4)])
+    def test_retraction_is_the_phase_fixed_householder_q(self, m, r):
+        # the loop retracts X = V + t D, D tangent at the isometry V; at m = r
+        # X^dag X has a condition number of 5.0e3 at t |D| = 100 (Cholesky-QR)
+        # and 3.7e4 at t |D| = 300 (past the cap: Householder QR)
+        rng = np.random.default_rng(36)
+        V = np.linalg.qr(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))[0]
+        D = roof._project(V, rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))
+        D /= np.linalg.norm(D)
+        X = np.stack([V + t * D for t in (1e-3, 1.0, 30.0, 100.0, 300.0)])
+        Q = roof._retract(X)
+        H, R = np.linalg.qr(X)
+        phases = np.diagonal(R, axis1=-2, axis2=-1)
+        np.testing.assert_allclose(Q, H * (phases / np.abs(phases))[..., None, :],
+                                   rtol=0, atol=1e-12)
+        gram = Q.conj().swapaxes(-1, -2) @ Q - np.eye(r)
+        assert (np.linalg.norm(gram, 2, axis=(1, 2)) <= 1e-12).all()
+
+    def test_retraction_falls_back_to_householder_where_cholesky_fails(self):
+        # along a unit rank-one tangent D, X^dag X = I + t^2 D^dag D is not
+        # numerically positive definite at t = 1e9; both members of the stack
+        # must come out orthonormal, and as they would alone
+        rng = np.random.default_rng(37)
+        V = np.linalg.qr(rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4)))[0]
+        x = rng.standard_normal((16, 1)) + 1j * rng.standard_normal((16, 1))
+        D = (x - V @ (V.conj().T @ x)) @ rng.standard_normal((1, 4))
+        D /= np.linalg.norm(D)
+        X = np.stack([V + D, V + 1e9 * D])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(X[1].conj().T @ X[1])
+        Q = roof._retract(X)
+        for k in range(2):
+            np.testing.assert_array_equal(Q[k], roof._retract(X[k:k + 1])[0])
+        np.testing.assert_allclose(Q, roof._householder(X), rtol=0, atol=1e-12)
+        gram = Q.conj().swapaxes(-1, -2) @ Q - np.eye(4)
+        assert (np.linalg.norm(gram, 2, axis=(1, 2)) <= 1e-12).all()
+
+    def test_returned_rows_decompose_rho_after_an_inexact_retraction(self, monkeypatch):
+        # the loop's isometries are only as orthonormal as the retraction
+        # leaves them; the rows it returns must still mix back to rho
+        monkeypatch.setattr(roof, "_retract", lambda X: 1.001 * roof._householder(X))
+        rho = random_density(Q2, 3, seed=38)
+        r, lam, vecs = roof._eigen(rho)
+        A = roof._eigen_rows(lam, vecs, r)
+        _, rows, _ = roof._optimize_pure(A, Q2.dims, "M", 9, [0, 1], RoofConfig(), 1)
+        for W in rows:
+            np.testing.assert_allclose(W.T @ W.conj(), rho.matrix, rtol=0, atol=1e-12)
+
     @staticmethod
     def tangents(seed, count=6):
         """A stack of random isometries and three stacks of tangent vectors
         there."""
         rng = np.random.default_rng(seed)
         shape = (count, 16, 4)
-        V = roof._retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        V = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
         X = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
         return roof._project(V, X)
 
