@@ -227,10 +227,12 @@ def _pure_marginal_stacks(amplitudes: np.ndarray, dims: tuple[int, ...],
 SPECTRUM_MIN_DIM = 64
 SPECTRUM_RANK_DIVISOR = 16
 SPECTRUM_TOL = 1e-13
-# Entries per row block of the blockwise passes, and per chunk of stacked
-# pure marginals (stack and conjugate together): 256 KB of complex128 stays
-# in cache. Larger blocks were no faster, and their products with a low-rank
-# factor were at times far slower where BLAS spread them over threads.
+# Entries per row block of the blockwise passes, per chunk of stacked pure
+# marginals (stack and conjugate together), and per chunk of the roof
+# objective's gathered cut stacks (`roof._pure_values`): 256 KB of
+# complex128 stays in cache. Larger blocks were no faster, and their
+# products with a low-rank factor were at times far slower where BLAS
+# spread them over threads.
 BLOCK_ENTRIES = 1 << 14
 
 

@@ -11,8 +11,8 @@ Optimization Algorithms on Matrix Manifolds, ch. 4), both giving the Q
 factor whose R has a positive diagonal.
 Restarts run in lock step as one compact work set on a leading axis:
 each objective evaluation covers the member rows of every restart still
-searching, in consecutive groups of restarts of at most ROW_BUDGET rows,
-so memory grows with restarts x members x dimension up to that budget.
+searching, so the isometries grow with restarts x members. The objective
+gathers its cut stacks in chunks of at most core.BLOCK_ENTRIES entries.
 
 Both roofs are one loop over group sizes g: each member is g consecutive
 rows, a pure state for g = 1 and a mixture otherwise (Uhlmann, "Roofs and
@@ -33,6 +33,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import core
 from .core import (
     DensityMatrix,
     RegisterShape,
@@ -46,10 +47,6 @@ from .states import Ensemble, PureState, State, as_density, flagged_mixture
 
 RANK_TOL = 1e-10
 WEIGHT_DROP = 1e-12
-# rows of one batched pure-roof evaluation: the restarts of an m-member
-# roof run in groups of ROW_BUDGET // m (at least one); the objective's
-# cost per row is flat from a few hundred rows on
-ROW_BUDGET = 2**12
 # largest register dimension a roof accepts
 DIM_CAP = 256
 
@@ -260,44 +257,49 @@ def _pure_values(W: np.ndarray, dims: tuple[int, ...], measure: str,
     p S(rho_K / p) has gradient -(log2(rho_K / p) x 1) w, with log 0 on
     eigenvalues under EIG_CLAMP; a linear-entropy term p - Tr(rho_K^2) / p
     has gradient w - (2 rho_K w - Tr(rho_K^2) w / p) / p. All cuts of one
-    marginal dimension run as one stack: 2 x 2 marginals in closed form,
-    larger ones through one eigh of f f^dag, or of the Gram f^dag f where
-    that is smaller. Every member is computed on its own, so
-    its numbers do not depend on the others. A member of weight at most
-    1e-14 is dead: its value and gradient are 0.
+    marginal dimension run as stacks of consecutive members whose gathered
+    rows hold at most core.BLOCK_ENTRIES entries (one member when a single
+    one is larger): 2 x 2 marginals in closed form, larger ones through one
+    eigh of f f^dag, or of the Gram f^dag f where that is smaller. Every
+    member is computed on its own, so its numbers do not depend on the
+    others or on the chunks. A member of weight at most 1e-14 is dead: its
+    value and gradient are 0.
     """
     members = W.reshape(-1, group * W.shape[1])
-    k = len(members)
     p = np.einsum("kd,kd->k", members, members.conj()).real
     live = p > 1e-14
-    values = np.zeros(k)
+    p_live = np.where(live, p, 1.0)
+    values = np.zeros(len(members))
     grad = np.zeros_like(members)
     for dk, coefs, order, inverse in _cut_groups(dims, measure, group):
-        c = len(coefs)
-        flat = members[:, order].reshape(k * c, dk, -1)
-        ps = np.repeat(np.where(live, p, 1.0), c)
-        if measure == "MW":
-            rho = flat @ flat.conj().transpose(0, 2, 1)
-            purity = (np.abs(rho) ** 2).sum(axis=(1, 2)) / ps**2
-            terms = 1.0 - purity
-            g = (1.0 + purity)[:, None, None] * flat - 2.0 * (rho @ flat) / ps[:, None, None]
-        elif dk == 2:
-            terms, g = _qubit_entropy_terms(flat, ps)
-        else:
-            # a marginal f f^dag of rank below dk (a grouped member's large
-            # side) shares its nonzero eigenvalues with the Gram f^dag f, and
-            # log2(f f^dag / p) f = f log2(f^dag f / p)
-            gram, fh = flat.shape[2] < dk, flat.conj().transpose(0, 2, 1)
-            lam, U = np.linalg.eigh(fh @ flat if gram else flat @ fh)
-            lam = np.clip(lam / ps[:, None], 0.0, None)
-            logs = _log2_clamped(lam)
-            terms = -(lam * logs).sum(axis=1)
-            Uh = U.conj().transpose(0, 2, 1)
-            g = -(((flat @ U) * logs[:, None, :]) @ Uh if gram
-                  else (U * logs[:, None, :]) @ (Uh @ flat))
-        values += p * (terms.reshape(k, c) * coefs).sum(axis=1)
-        g = g.reshape(k, c, -1) * coefs[:, None]
-        grad += g.reshape(k, -1)[:, inverse].reshape(k, c, -1).sum(axis=1)
+        c, step = len(coefs), max(1, core.BLOCK_ENTRIES // order.size)
+        for start in range(0, len(members), step):
+            k = min(step, len(members) - start)
+            part = slice(start, start + k)
+            flat = members[part, order].reshape(k * c, dk, -1)
+            ps = np.repeat(p_live[part], c)
+            if measure == "MW":
+                rho = flat @ flat.conj().transpose(0, 2, 1)
+                purity = (np.abs(rho) ** 2).sum(axis=(1, 2)) / ps**2
+                terms = 1.0 - purity
+                g = (1.0 + purity)[:, None, None] * flat - 2.0 * (rho @ flat) / ps[:, None, None]
+            elif dk == 2:
+                terms, g = _qubit_entropy_terms(flat, ps)
+            else:
+                # a marginal f f^dag of rank below dk (a grouped member's
+                # large side) shares its nonzero eigenvalues with the Gram
+                # f^dag f, and log2(f f^dag / p) f = f log2(f^dag f / p)
+                gram, fh = flat.shape[2] < dk, flat.conj().transpose(0, 2, 1)
+                lam, U = np.linalg.eigh(fh @ flat if gram else flat @ fh)
+                lam = np.clip(lam / ps[:, None], 0.0, None)
+                logs = _log2_clamped(lam)
+                terms = -(lam * logs).sum(axis=1)
+                Uh = U.conj().transpose(0, 2, 1)
+                g = -(((flat @ U) * logs[:, None, :]) @ Uh if gram
+                      else (U * logs[:, None, :]) @ (Uh @ flat))
+            values[part] += p[part] * (terms.reshape(k, c) * coefs).sum(axis=1)
+            g = g.reshape(k, c, -1) * coefs[:, None]
+            grad[part] += g.reshape(k, -1)[:, inverse].reshape(k, c, -1).sum(axis=1)
     return np.where(live, values, 0.0), np.where(live[:, None], grad, 0.0).reshape(W.shape)
 
 
@@ -475,29 +477,14 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
     return total_out, _householder(V_out) @ A, converged
 
 
-def _best_run(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
-    """Totals of the restarts seeded by `seeds` on m member rows, `group` rows
-    to a member, and the rows and converged flag of the best restart. The
-    restarts run in batches of at most ROW_BUDGET rows."""
-    batch = max(1, ROW_BUDGET // m)
-    per_restart, best = [], None
-    for start in range(0, len(seeds), batch):
-        runs = _optimize_pure(A, dims, measure, m, seeds[start:start + batch], cfg, group)
-        for value, W, converged in zip(*runs):
-            per_restart.append(float(value))
-            if best is None or value < best[0]:
-                best = (float(value), W, bool(converged))
-    return tuple(per_restart), best[1], best[2]
-
-
 def roof_minimize(rho: State, measure: str, config: RoofConfig | None = None) -> RoofResult:
     """Minimize the ensemble-averaged measure over decompositions of rho.
 
     Each candidate decomposes rho into max(m // g, r) members of g rows
     each. The pure roof runs g = 1, m pure members. The mixed roof returns
     the lowest of rho itself as its one member (the direct value) and the
-    candidates for g = 1..r; the winner supplies `per_restart_values` and
-    `converged`.
+    candidates for g = 1..r. A candidate is the first restart of least
+    total; the winner supplies `per_restart_values` and `converged`.
 
     Returns an upper bound on the true convex roof; the reported value is
     exactly the ensemble average of the returned decomposition. Restarts
@@ -530,12 +517,13 @@ def roof_minimize(rho: State, measure: str, config: RoofConfig | None = None) ->
     if cfg.strategy == "mixed_roof":
         candidates, groups = [_single(rho, measure)], range(1, r + 1)
     for g in groups:
-        per_restart, W, converged = _best_run(
+        totals, W, converged = _optimize_pure(
             A, shape.dims, measure, g * max(m // g, r), seeds, cfg, g)
-        weights, rows, members = _decompose(shape, W, g)
+        best = int(np.argmin(totals))
+        weights, rows, members = _decompose(shape, W[best], g)
         value = float(np.dot(weights, _pure_values(rows, shape.dims, measure, g)[0]))
         candidates.append(RoofResult(value, Ensemble(tuple(weights), tuple(members)),
-                                     per_restart, converged))
+                                     tuple(totals.tolist()), bool(converged[best])))
     return min(candidates, key=lambda res: res.value)
 
 

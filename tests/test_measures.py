@@ -31,6 +31,7 @@ from totalcorr import (
     von_neumann_entropy,
     w,
 )
+from totalcorr.cli import check_bound_M, check_entropy_ssa, check_form2
 from totalcorr.measures import EIG_CLAMP, _entropy
 from totalcorr.states import PureState
 
@@ -194,10 +195,8 @@ class TestForm2:
         assert measure_S_form2(w(4)) == pytest.approx(measure_S(w(4)), abs=1e-8)
 
     def test_matches_on_random_pure(self):
-        for seed in range(10):
-            n = 3 + seed % 3
-            psi = random_pure(qubits(n), seed=300 + seed)
-            assert measure_S_form2(psi) == pytest.approx(measure_S(psi), abs=1e-8)
+        check = check_form2(300, 10)
+        assert check.passed, check
 
 
 class TestBounds:
@@ -207,10 +206,9 @@ class TestBounds:
         assert bound_S(4, 2) == pytest.approx(2.5)
 
     def test_random_pure_below_bound(self):
-        for n in (3, 4, 5):
-            for seed in range(50):
-                psi = random_pure(qubits(n), seed=400 + 100 * n + seed)
-                assert measure_M(psi) <= bound_M(n, 2) + 1e-9
+        check = check_bound_M(random_pure(qubits(n), seed=400 + 100 * n + k)
+                              for n in (3, 4, 5) for k in range(50))
+        assert check.passed, check
 
 
 class TestSsaCheck:
@@ -222,9 +220,8 @@ class TestSsaCheck:
         assert ssa_check(dm(ghz(3))) == pytest.approx(1.0, abs=1e-9)
 
     def test_random_sweep_nonnegative(self):
-        for seed in range(50):
-            rho = random_density(qubits(3), rank=1 + seed % 8, seed=500 + seed)
-            assert ssa_check(rho) >= -1e-8
+        check = check_entropy_ssa(500, 50)
+        assert check.passed, check
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):

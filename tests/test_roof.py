@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,11 @@ from totalcorr import (
     roof_additivity_gap,
     roof_minimize,
 )
-from totalcorr import roof
+from totalcorr import core, roof
 from totalcorr.cli import check_pcrc
 from totalcorr.core import ResourceLimitError, partial_trace_matrix
 from totalcorr.measures import EIG_CLAMP, direct_measure
-from totalcorr.roof import _cuts, _pure_values
+from totalcorr.roof import STRATEGIES, _cuts, _pure_values
 from totalcorr.states import PureState
 
 Q2 = RegisterShape((2, 2))
@@ -165,13 +167,20 @@ class TestBatchedRestarts:
                 restarts=1, seed=seed + k, max_iterations=max_iterations))
             assert value == pytest.approx(alone.value, abs=1e-9)
 
-    def test_groups_under_the_row_budget_give_the_same_restarts(self, monkeypatch):
-        rho = random_density(Q2, 2, seed=51)  # four members per restart
-        cfg = RoofConfig(restarts=5, seed=9)
-        whole = roof_minimize(rho, "M", cfg)
-        for budget in (8, 1):  # groups of two restarts, then one at a time
-            monkeypatch.setattr(roof, "ROW_BUDGET", budget)
-            split = roof_minimize(rho, "M", cfg)
+    @pytest.mark.parametrize("dims, rank, measure, strategy", [
+        pytest.param((2, 2, 2), 4, measure, strategy, id=f"{measure}-{strategy}")
+        for measure in ("M", "O", "S", "MW") for strategy in STRATEGIES
+    ] + [pytest.param((2, 3), 3, "S", "mixed_roof", id="qutrit-S-mixed_roof")])
+    def test_objective_chunks_give_the_same_restarts(self, monkeypatch, dims, rank,
+                                                     measure, strategy):
+        rho = random_density(RegisterShape(dims), rank, seed=5)
+        cfg = RoofConfig(restarts=2, seed=9, strategy=strategy)
+        whole = roof_minimize(rho, measure, cfg)
+        # one member per chunk, then chunks that end inside a restart's
+        # members and inside a marginal dimension's stack
+        for budget in (1, 150):
+            monkeypatch.setattr(core, "BLOCK_ENTRIES", budget)
+            split = roof_minimize(rho, measure, cfg)
             assert split.per_restart_values == whole.per_restart_values
             assert split.value == whole.value
 
@@ -605,6 +614,22 @@ class TestBatchedObjective:
             slope = 2 * np.einsum("kd,kd->k", G.conj(), E).real
             np.testing.assert_allclose((plus - minus) / (2 * h), slope,
                                        rtol=1e-6, atol=1e-7 * norms.max() ** 2)
+
+    def test_objective_memory_stays_chunk_sized(self):
+        # 320 rows of seven qubits (a rank-4 roof's 20 restarts of 16 members)
+        # gather 21 pair cuts of 128 entries each; in one stack with its
+        # products they would take about 60 MB
+        dims = (2,) * 7
+        rng = np.random.default_rng(3)
+        W = rng.standard_normal((320, 128)) + 1j * rng.standard_normal((320, 128))
+        _pure_values(W, dims, "S")
+        tracemalloc.start()
+        try:
+            _pure_values(W, dims, "S")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_qubit_cuts_make_no_eigen_call_in_the_objective(self, monkeypatch):
         # every cut of a two- or three-qubit register is a qubit cut on its
