@@ -31,7 +31,6 @@ from .roof import (
     RoofConfig,
     RoofResult,
     eof_two_qubit,
-    flags_residual,
     roof_additivity_gap,
     roof_minimize,
 )

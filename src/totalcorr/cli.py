@@ -235,8 +235,14 @@ def check_additivity(seed: int, count: int) -> tuple[Check, Check]:
 
 
 def check_flags(ensembles: Iterable[states.Ensemble], config: roof.RoofConfig) -> Check:
-    """The flags condition for the roof of M: `flags_residual` <= 5e-3."""
-    return _worst((roof.flags_residual(e, "M", config) for e in ensembles), 5e-3)
+    """The flags condition for the roof of M: the residual |roof(flag-labeled
+    mixture) - weighted sum of the members' roofs| <= 5e-3."""
+    def residual(e):
+        members = sum(p * roof.roof_minimize(states.as_density(member), "M", config).value
+                      for p, member in zip(e.weights, e.members))
+        return abs(roof.roof_minimize(states.flagged_mixture(e), "M", config).value - members)
+
+    return _worst(map(residual, ensembles), 5e-3)
 
 
 def check_form2(seed: int, count: int) -> Check:

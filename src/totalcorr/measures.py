@@ -192,7 +192,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     _require_density(sigma, svals)
     rvals = _require_density(rho)
     on_support = svals > SUPPORT_TOL
-    overlaps = np.real(np.einsum("ik,ij,jk->k", svecs.conj(), rho.matrix, svecs))
+    overlaps = (svecs.conj() * (rho.matrix @ svecs)).sum(axis=0).real
     leak = float(overlaps[~on_support].sum())
     if leak > SUPPORT_TOL:
         raise SupportError(f"support violation: weight {leak:.3e} outside supp(sigma)")

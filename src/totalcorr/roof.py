@@ -16,8 +16,11 @@ gathers its cut stacks in chunks of at most core.BLOCK_ENTRIES entries.
 
 Both roofs are one loop over group sizes g: each member is g consecutive
 rows, a pure state for g = 1 and a mixture otherwise (Uhlmann, "Roofs and
-convexity", Entropy 12, 1799 (2010)). The pure roof runs g = 1; the mixed
-roof runs g = 1..r and returns the best of these and the state itself.
+convexity", Entropy 12, 1799 (2010)). A member of g rows is a pure state
+of the register extended by its row index as a last site of dimension g,
+whose trace over that site is the mixture, so one objective serves both
+roofs. The pure roof runs g = 1; the mixed roof runs g = 1..r and returns
+the best of these and the state itself.
 A candidate's value is its returned members' weighted average, from one
 batched evaluation of their normalized rows. Restart k is seeded base
 seed + k whether it runs alone or in a batch, so results are
@@ -43,7 +46,7 @@ from .core import (
     _require_density,
 )
 from .measures import EIG_CLAMP, MEASURE_NAMES, _correlations, direct_measure
-from .states import Ensemble, PureState, State, as_density, flagged_mixture
+from .states import Ensemble, PureState, State, as_density
 
 RANK_TOL = 1e-10
 WEIGHT_DROP = 1e-12
@@ -145,19 +148,21 @@ def _single(state: State, measure: str) -> RoofResult:
 
 @functools.cache
 def _cuts(dims: tuple[int, ...], measure: str,
-          grouped: bool = False) -> tuple[tuple[tuple[int, ...], float], ...]:
-    """(kept sites, coefficient) of each marginal term of the member measure.
+          group: int = 1) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """(kept sites, coefficient) of each marginal term of the measure of a
+    member of `group` rows.
 
     The entropy coefficients come from `_correlations` fed with unit
-    vectors, one of them for the whole-register term. A pure member has
-    S(K) = S(K-bar) and Tr rho_K^2 = Tr rho_K-bar^2, so each term is moved
-    to the side of its cut with the smaller dimension (ties to the
-    lexicographically smaller set), and a cut with an empty side, the
-    whole register among them, drops out. A `grouped` (mixed) member has
-    neither symmetry, so each term stays on its own side. Terms on one
-    set of kept sites are merged.
+    vectors, one of them for the whole-register term. The member is a pure
+    state of the extended register, dims with the row index as a last site
+    of dimension `group` (no such site for one row), so S(K) = S(K-bar)
+    and Tr rho_K^2 = Tr rho_K-bar^2 for every cut of that register. Each
+    term is moved to the side of its cut with the smaller dimension (ties
+    to the lexicographically smaller set), and a cut with an empty side
+    drops out: the whole-register term is such a cut for one row, and the
+    row-index marginal otherwise. Terms on one set of kept sites are merged.
     """
-    n = len(dims)
+    n, ext = len(dims), (dims + (group,) if group > 1 else dims)
     singles = [(i,) for i in range(n)]
     if measure == "MW":
         terms = [(keep, 1.0) for keep in singles]
@@ -168,9 +173,8 @@ def _cuts(dims: tuple[int, ...], measure: str,
         terms = zip(singles + pairs + [tuple(range(n))], coef)
     merged: dict[tuple[int, ...], float] = {}
     for keep, c in terms:
-        rest = tuple(i for i in range(n) if i not in keep)
-        side = keep if grouped else min(
-            keep, rest, key=lambda s: (math.prod(dims[i] for i in s), s))
+        rest = tuple(i for i in range(len(ext)) if i not in keep)
+        side = min(keep, rest, key=lambda s: (math.prod(ext[i] for i in s), s))
         if side and c:
             merged[side] = merged.get(side, 0.0) + float(c)
     return tuple(merged.items())
@@ -182,19 +186,19 @@ def _cut_groups(dims: tuple[int, ...], measure: str, group: int) -> tuple[tuple,
     dimension dk.
 
     Each group is (dk, coefficients, order, inverse). A member's rows are
-    laid end to end, and row c of `order` lists the indices into them with
-    the kept sites of cut c leading, so that a member gathered by it
-    reshapes to dk x (group * D / dk): its rows' keep-first reshapes side
-    by side. `inverse` takes the gathered members of all cuts, laid end to
-    end, back to register order.
+    laid end to end, entry x of row j at j * D + x, which is the member's
+    vector on the extended register. Row c of `order` lists the indices into
+    it with the kept sites of cut c leading, so that a member gathered by it
+    reshapes to dk x (group * D / dk), dk on the smaller side. `inverse`
+    takes the gathered members of all cuts, laid end to end, back to the
+    rows' order.
     """
-    dim = math.prod(dims)
-    index = np.arange(dim).reshape(dims)
+    # the row index as a last axis; of size 1 for one row, it moves no entry
+    index = np.moveaxis(np.arange(group * math.prod(dims)).reshape((group,) + dims), 0, -1)
     groups: dict[int, list] = {}
-    for keep, coef in _cuts(dims, measure, group > 1):
-        axes, dk = _keep_first(dims, keep)
-        order = index.transpose(axes).reshape(dk, 1, -1) + dim * np.arange(group)[:, None]
-        groups.setdefault(dk, []).append((coef, order.reshape(-1)))
+    for keep, coef in _cuts(dims, measure, group):
+        axes, dk = _keep_first(index.shape, keep)
+        groups.setdefault(dk, []).append((coef, index.transpose(axes).reshape(-1)))
     out = []
     for dk, cuts in groups.items():
         coefs, orders = np.array([c for c, _ in cuts]), np.stack([o for _, o in cuts])
@@ -251,19 +255,19 @@ def _pure_values(W: np.ndarray, dims: tuple[int, ...], measure: str,
     consecutive unnormalized rows of W, and the gradient of their sum with
     respect to conj(W).
 
-    A member's marginal rho_K = sum_w Tr_K-bar w w^dag is f f^dag for its
-    rows' keep-first reshapes f laid side by side, and p is the sum of the
-    rows' weights; a member of one row is pure. An entropy term
-    p S(rho_K / p) has gradient -(log2(rho_K / p) x 1) w, with log 0 on
-    eigenvalues under EIG_CLAMP; a linear-entropy term p - Tr(rho_K^2) / p
-    has gradient w - (2 rho_K w - Tr(rho_K^2) w / p) / p. All cuts of one
-    marginal dimension run as stacks of consecutive members whose gathered
-    rows hold at most core.BLOCK_ENTRIES entries (one member when a single
-    one is larger): 2 x 2 marginals in closed form, larger ones through one
-    eigh of f f^dag, or of the Gram f^dag f where that is smaller. Every
-    member is computed on its own, so its numbers do not depend on the
-    others or on the chunks. A member of weight at most 1e-14 is dead: its
-    value and gradient are 0.
+    A member is the pure vector w of its rows laid end to end, a state of
+    the register extended by the row index, and p = |w|^2. Its marginal on
+    the kept side K of a cut of `_cuts` is rho_K = f f^dag, f the dk x
+    (group * D / dk) keep-first reshape of w. An entropy term p S(rho_K / p)
+    has gradient -(log2(rho_K / p) x 1) w, with log 0 on eigenvalues under
+    EIG_CLAMP; a linear-entropy term p - Tr(rho_K^2) / p has gradient
+    w - (2 rho_K w - Tr(rho_K^2) w / p) / p. All cuts of one marginal
+    dimension run as stacks of consecutive members whose gathered rows hold
+    at most core.BLOCK_ENTRIES entries (one member when a single one is
+    larger): 2 x 2 marginals in closed form, larger ones through one eigh
+    of f f^dag, the smaller side of its cut. Every member is computed on its
+    own, so its numbers do not depend on the others or on the chunks. A
+    member of weight at most 1e-14 is dead: its value and gradient are 0.
     """
     members = W.reshape(-1, group * W.shape[1])
     p = np.einsum("kd,kd->k", members, members.conj()).real
@@ -286,17 +290,11 @@ def _pure_values(W: np.ndarray, dims: tuple[int, ...], measure: str,
             elif dk == 2:
                 terms, g = _qubit_entropy_terms(flat, ps)
             else:
-                # a marginal f f^dag of rank below dk (a grouped member's
-                # large side) shares its nonzero eigenvalues with the Gram
-                # f^dag f, and log2(f f^dag / p) f = f log2(f^dag f / p)
-                gram, fh = flat.shape[2] < dk, flat.conj().transpose(0, 2, 1)
-                lam, U = np.linalg.eigh(fh @ flat if gram else flat @ fh)
+                lam, U = np.linalg.eigh(flat @ flat.conj().transpose(0, 2, 1))
                 lam = np.clip(lam / ps[:, None], 0.0, None)
                 logs = _log2_clamped(lam)
                 terms = -(lam * logs).sum(axis=1)
-                Uh = U.conj().transpose(0, 2, 1)
-                g = -(((flat @ U) * logs[:, None, :]) @ Uh if gram
-                      else (U * logs[:, None, :]) @ (Uh @ flat))
+                g = -((U * logs[:, None, :]) @ (U.conj().transpose(0, 2, 1) @ flat))
             values[part] += p[part] * (terms.reshape(k, c) * coefs).sum(axis=1)
             g = g.reshape(k, c, -1) * coefs[:, None]
             grad[part] += g.reshape(k, -1)[:, inverse].reshape(k, c, -1).sum(axis=1)
@@ -543,17 +541,6 @@ def eof_two_qubit(rho: DensityMatrix) -> float:
     if x <= 0.0 or x >= 1.0:
         return 0.0
     return float(-x * math.log2(x) - (1 - x) * math.log2(1 - x))
-
-
-def flags_residual(e: Ensemble, measure: str, config: RoofConfig | None = None) -> float:
-    """|roof(flag-labeled mixture) - weighted sum of member roofs|."""
-    flagged = flagged_mixture(e)
-    lhs = roof_minimize(flagged, measure, config).value
-    rhs = sum(
-        p * roof_minimize(as_density(member), measure, config).value
-        for p, member in zip(e.weights, e.members)
-    )
-    return abs(lhs - rhs)
 
 
 def roof_additivity_gap(sigma: State, eta: State, measure: str,

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from totalcorr import (
     dm,
     eof_two_qubit,
     epr,
-    flags_residual,
     ghz,
     measure_M,
     mix,
@@ -21,9 +21,9 @@ from totalcorr import (
     roof_minimize,
 )
 from totalcorr import core, roof
-from totalcorr.cli import check_pcrc
+from totalcorr.cli import check_flags, check_pcrc
 from totalcorr.core import ResourceLimitError, partial_trace_matrix
-from totalcorr.measures import EIG_CLAMP, direct_measure
+from totalcorr.measures import EIG_CLAMP, _correlations, direct_measure
 from totalcorr.roof import STRATEGIES, _cuts, _pure_values
 from totalcorr.states import PureState
 
@@ -396,11 +396,11 @@ class TestDerivedChecks:
 
     def test_flags_residual_single_member(self):
         e = Ensemble((1.0,), (epr(),))
-        assert flags_residual(e, "M", FAST) < 1e-6
+        assert check_flags([e], FAST).worst < 1e-6
 
     def test_flags_residual_two_members(self):
         e = Ensemble((0.5, 0.5), (epr(), product([KET0, KET0])))
-        assert flags_residual(e, "M", RoofConfig(restarts=6, seed=7)) < 5e-3
+        assert check_flags([e], RoofConfig(restarts=6, seed=7)).worst < 5e-3
 
     def test_additivity_gap_product_inputs(self):
         gap = roof_additivity_gap(
@@ -413,7 +413,7 @@ class TestDerivedChecks:
         # roof keeps the flags and additivity identities on these inputs
         cfg = RoofConfig(restarts=4, seed=7, strategy="mixed_roof")
         e = Ensemble((0.5, 0.5), (epr(), product([KET0, KET0])))
-        assert flags_residual(e, "M", cfg) < 5e-3
+        assert check_flags([e], cfg).worst < 5e-3
         assert abs(roof_additivity_gap(dm(epr()), classically_correlated(), "M", cfg)) < 5e-3
 
 
@@ -422,11 +422,11 @@ class TestBatchedObjective:
     DIMS = [(2, 2), (2, 2, 2), (2, 2, 2, 2), (2, 3), (3, 2, 2)]
 
     @staticmethod
-    def rows(dims, seed):
+    def rows(dims, seed, count=6):
         d = int(np.prod(dims))
         rng = np.random.default_rng(seed)
-        W = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
-        return W * rng.uniform(0.1, 2.0, size=(6, 1))  # rows of unequal weight
+        W = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+        return W * rng.uniform(0.1, 2.0, size=(count, 1))  # rows of unequal weight
 
     @pytest.mark.parametrize("dims", DIMS)
     @pytest.mark.parametrize("measure", ["M", "O", "S", "MW"])
@@ -491,16 +491,20 @@ class TestBatchedObjective:
     @staticmethod
     def dense_grouped_values(W, dims, measure, group):
         """Values and gradient of the `group`-row members of W from D x D
-        matrices: each marginal of sum_w w w^dag diagonalized on its own
-        side, and its log applied to every row as the D x D operator
-        log2(rho_K / p) x 1."""
+        matrices, for M, O or S: each entropy term of `_correlations` on its
+        own side, its marginal of sum_w w w^dag diagonalized, and its log
+        applied to every row as the D x D operator log2(rho_K / p) x 1."""
         n, d = len(dims), W.shape[1]
+        pairs = list(combinations(range(n), 2))
+        basis = np.eye(n + len(pairs) + 1)
+        coefs = _correlations(basis[:n], dict(zip(pairs, basis[n:-1])), basis[-1])[measure]
+        keeps = [(i,) for i in range(n)] + pairs + [tuple(range(n))]
         values, grad = [], np.zeros_like(W)
         for k, rows in enumerate(W.reshape(-1, group, d)):
             rho = rows.T @ rows.conj()
             p = np.trace(rho).real
             value = 0.0
-            for keep, coef in _cuts(dims, measure, True):
+            for keep, coef in zip(keeps, coefs):
                 lam, U = np.linalg.eigh(partial_trace_matrix(rho, dims, keep) / p)
                 logs = np.where(lam > EIG_CLAMP, np.log2(np.where(lam > EIG_CLAMP, lam, 1.0)), 0.0)
                 value -= coef * p * float(np.clip(lam, 0.0, None) @ logs)
@@ -514,9 +518,9 @@ class TestBatchedObjective:
         return np.array(values), grad
 
     @pytest.mark.parametrize("measure", ["O", "S"])
-    def test_grouped_whole_register_term_on_the_gram_side(self, measure, monkeypatch):
-        # six qubits in members of two rows: the whole-register marginal has
-        # rank 2, so its entropy and log come from the 2 x 2 Gram of the rows
+    def test_grouped_whole_register_term_on_the_row_index_side(self, measure, monkeypatch):
+        # six qubits in members of two rows: the whole-register term moves to
+        # the row index, a 2 x 2 marginal, so no eigh is larger than a pair's
         dims = (2,) * 6
         W = self.rows(dims, 300)
         W /= np.linalg.norm(W)
@@ -525,17 +529,40 @@ class TestBatchedObjective:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(a.shape[-1]) or eigh(a))
         got, grad = _pure_values(W, dims, measure, 2)
-        assert 64 not in sizes and 2 in sizes
+        assert 64 not in sizes and all(size <= 4 for size in sizes)
         assert np.max(np.abs(got - want)) < 1e-12
         assert np.max(np.abs(grad - want_grad)) < 1e-12
 
-    def test_grouped_terms_stay_on_their_side(self):
-        # a mixed member has S(K) != S(K-bar) and a nonzero S(rho), so no
-        # term moves across its cut and O and S keep the whole-register term
-        assert _cuts((2, 2), "M", True) == (((0,), 0.5), ((1,), 0.5), ((0, 1), -0.5))
-        assert _cuts((2, 3), "O", True) == (((0,), 0.5), ((1,), 0.5), ((0, 1), -0.5))
-        assert _cuts((2, 2, 2), "MW", True) == (((0,), 1.0), ((1,), 1.0), ((2,), 1.0))
-        assert _cuts((2, 2, 2), "O", True)[-1] == ((0, 1, 2), -0.5)
+    @pytest.mark.parametrize("measure", ["M", "S"])
+    @pytest.mark.parametrize("dims, group", [((2, 2), 4), ((2, 2, 2), 2)])
+    def test_grouped_tied_cuts_match_the_dense_oracle(self, dims, group, measure):
+        # g D / dk = dk: the whole register of (2, 2) against four rows, and
+        # the pair (1, 2) of (2, 2, 2) against site 0 and two rows, which
+        # gathers across the rows
+        W = self.rows(dims, 400 + group, count=8)
+        want, want_grad = self.dense_grouped_values(W, dims, measure, group)
+        got, grad = _pure_values(W, dims, measure, group)
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(grad - want_grad)) < 1e-12
+
+    def test_grouped_terms_on_the_smaller_side_of_the_extended_register(self):
+        # a member of g rows is a pure state of dims + (g,), so every term
+        # moves to the smaller side of its cut there: the whole-register term
+        # of O and S, and a pair term of two qubits, becomes the row index's
+        assert _cuts((2, 2), "M", 2) == (((0,), 0.5), ((1,), 0.5), ((2,), -0.5))
+        assert _cuts((2, 2), "O", 2) == (((0,), 0.5), ((1,), 0.5), ((2,), -0.5))
+        assert _cuts((2, 3), "O", 2) == (((0,), 0.5), ((1,), 0.5), ((2,), -0.5))
+        assert _cuts((2, 2, 2), "MW", 2) == (((0,), 1.0), ((1,), 1.0), ((2,), 1.0))
+        assert _cuts((2, 2, 2), "O", 2)[-1] == ((3,), -0.5)
+        # ties go to the lexicographically smaller set: the whole register
+        # against four rows, and (0, 3) against the pair (1, 2)
+        assert _cuts((2, 2), "S", 4) == (((0,), 0.5), ((1,), 0.5), ((0, 1), -0.5))
+        assert [keep for keep, _ in _cuts((2, 2, 2), "S", 2)] == [
+            (0,), (1,), (2,), (0, 1), (0, 2), (0, 3), (3,)
+        ]
+        assert [keep for keep, _ in _cuts((2, 2, 2), "M", 3)] == [
+            (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)
+        ]
 
     @staticmethod
     def edge_rows(dims, seed):
