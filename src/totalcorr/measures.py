@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,10 +21,10 @@ from .core import (
     RegisterShape,
     SupportError,
     _check_keep,
+    _keep_first,
     _pure_marginal_stacks,
     _require_density,
     partial_trace_matrix,
-    pure_marginal,
 )
 from .states import PureState, State, as_density
 
@@ -33,45 +33,44 @@ SUPPORT_TOL = 1e-10
 MEASURE_NAMES = ("M", "O", "S", "MW")
 
 
+def _log2_clamped(lam: np.ndarray) -> np.ndarray:
+    """log2 of each eigenvalue, and 0 for those at or below EIG_CLAMP."""
+    return np.log2(np.where(lam > EIG_CLAMP, lam, 1.0))
+
+
 def _entropy(spectra: np.ndarray) -> np.ndarray:
     """Entropy of each spectrum along the last axis; eigenvalues at or below
     EIG_CLAMP contribute 0."""
     lam = np.asarray(spectra, dtype=float)
-    lam = np.where(lam > EIG_CLAMP, lam, 1.0)
-    return -(lam * np.log2(lam)).sum(axis=-1)
+    return -(lam * _log2_clamped(lam)).sum(axis=-1)
 
 
-def _stacks(mats: Sequence[np.ndarray]) -> Iterator[tuple[list[int], np.ndarray]]:
-    """The positions and the stack of each matrix size among `mats`."""
-    for size in dict.fromkeys(len(mat) for mat in mats):
-        ks = [k for k, mat in enumerate(mats) if len(mat) == size]
-        yield ks, np.stack([mats[k] for k in ks])
+def _marginals(state: State, keeps: Sequence[tuple[int, ...]],
+               kept: int = 0) -> tuple[list[np.ndarray], list[float]]:
+    """The marginals on the first `kept` keeps, and the entropy of the
+    marginal on each keep, by position.
 
-
-def _grouped_entropies(groups: Iterable[tuple[list[int], np.ndarray]], count: int,
-                       kept: int = 0) -> tuple[list[np.ndarray], list[float]]:
-    """The matrices at positions below `kept`, and the entropy of each of
-    `count` matrices by position, from stacks of equal size and their
-    positions; one eigvalsh per stack. No other matrix outlives its stack."""
-    mats, out = [None] * kept, [0.0] * count
+    Every keep must be sorted and in range, as `_check_keep` returns it; none
+    is checked here. A pure state's marginals come from one stacked
+    contraction, a density's from its partial traces stacked by size. Each
+    stack takes one eigvalsh, and no other matrix outlives its stack.
+    """
+    dims = state.shape.dims
+    if isinstance(state, PureState):
+        groups = _pure_marginal_stacks(state.amplitudes, dims, keeps)
+    else:
+        sizes: dict[int, list[int]] = {}
+        for k, keep in enumerate(keeps):
+            sizes.setdefault(_keep_first(dims, keep)[1], []).append(k)
+        groups = ((ks, np.stack([partial_trace_matrix(state.matrix, dims, keeps[k]) for k in ks]))
+                  for ks in sizes.values())
+    mats, out = [None] * kept, [0.0] * len(keeps)
     for ks, stack in groups:
         for k, mat, value in zip(ks, stack, _entropy(np.linalg.eigvalsh(stack)).tolist()):
             out[k] = value
             if k < kept:
                 mats[k] = mat
     return mats, out
-
-
-def _entropies(mats: Sequence[np.ndarray]) -> list[float]:
-    """Entropy of each Hermitian matrix; one eigvalsh per stack of equal size."""
-    return _grouped_entropies(_stacks(mats), len(mats))[1]
-
-
-def _marginal(state: State, keep: Iterable[int]) -> np.ndarray:
-    """Reduced matrix on `keep`; contracts amplitudes directly for pure input."""
-    if isinstance(state, PureState):
-        return pure_marginal(state.amplitudes, state.shape.dims, keep)
-    return partial_trace_matrix(state.matrix, state.shape.dims, keep)
 
 
 def von_neumann_entropy(rho: State) -> float:
@@ -98,7 +97,7 @@ def mutual_information(state: State, a: Iterable[int], b: Iterable[int]) -> floa
         raise ValueError(f"index sets overlap: {a} and {b}")
     if isinstance(state, DensityMatrix):
         _require_density(state)
-    s_a, s_b, s_ab = _entropies([_marginal(state, k) for k in (a, b, a + b)])
+    s_a, s_b, s_ab = _marginals(state, [a, b, tuple(sorted(a + b))])[1]
     return s_a + s_b - s_ab
 
 
@@ -131,11 +130,8 @@ def _linear_entropy_sum(reds: Iterable[np.ndarray]) -> float:
 def _marginal_pass(state: State, with_pairs: bool = True) -> tuple[list[np.ndarray], dict]:
     """Single-site matrices and the correlations, from one pass over the marginals.
 
-    Pair marginals are skipped without `with_pairs`, for O and MW. A pure
-    state's marginals come from one stacked contraction without per-marginal
-    checks: `RegisterShape` checked the dims, and the keeps are sorted and in
-    range. A density that is not Hermitian, unit-trace and positive is
-    rejected.
+    Pair marginals are skipped without `with_pairs`, for O and MW. A density
+    that is not Hermitian, unit-trace and positive is rejected.
     """
     n = state.shape.nsites
     subsets = [(i,) for i in range(n)]
@@ -143,12 +139,7 @@ def _marginal_pass(state: State, with_pairs: bool = True) -> tuple[list[np.ndarr
         if n < 2:
             raise ValueError("pairwise measures require at least 2 subsystems")
         subsets += combinations(range(n), 2)
-    if isinstance(state, PureState):
-        groups = _pure_marginal_stacks(state.amplitudes, state.shape.dims, subsets)
-    else:
-        groups = _stacks([partial_trace_matrix(state.matrix, state.shape.dims, keep)
-                          for keep in subsets])
-    reds, entropies = _grouped_entropies(groups, len(subsets), kept=n)
+    reds, entropies = _marginals(state, subsets, kept=n)
     pairs = dict(zip(subsets[n:], entropies[n:]))
     return reds, _correlations(entropies[:n], pairs, von_neumann_entropy(state))
 
@@ -210,15 +201,16 @@ def measure_S_form2(state: State) -> float:
     if n < 2:
         raise ValueError("requires at least 2 subsystems")
     shape = state.shape
-    singles = [_marginal(state, (i,)) for i in range(n)]
+    pairs = list(combinations(range(n), 2))
+    mats = _marginals(state, [(i,) for i in range(n)] + pairs, kept=n + len(pairs))[0]
     total = 0.0
-    for i, j in combinations(range(n), 2):
+    for (i, j), pair in zip(pairs, mats[n:]):
         pair_shape = shape.restrict((i, j))
         total += relative_entropy(
-            DensityMatrix(pair_shape, _marginal(state, (i, j))),
-            DensityMatrix(pair_shape, np.kron(singles[i], singles[j])),
+            DensityMatrix(pair_shape, pair),
+            DensityMatrix(pair_shape, np.kron(mats[i], mats[j])),
         )
-    full_product = reduce(np.kron, singles)
+    full_product = reduce(np.kron, mats[:n])
     total += relative_entropy(as_density(state), DensityMatrix(shape, full_product))
     return total / 4.0
 
@@ -244,7 +236,7 @@ def ssa_check(rho: State) -> float:
     """
     if rho.shape.nsites != 3:
         raise ValueError("ssa_check requires exactly 3 subsystems")
-    s_xy, s_yz, s_y = _entropies([_marginal(rho, k) for k in ((0, 1), (1, 2), (1,))])
+    s_xy, s_yz, s_y = _marginals(rho, [(0, 1), (1, 2), (1,)])[1]
     return s_xy + s_yz - s_y - von_neumann_entropy(rho)
 
 

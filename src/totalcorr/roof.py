@@ -45,7 +45,7 @@ from .core import (
     _keep_first,
     _require_density,
 )
-from .measures import EIG_CLAMP, MEASURE_NAMES, _correlations, direct_measure
+from .measures import EIG_CLAMP, MEASURE_NAMES, _correlations, _log2_clamped, direct_measure
 from .states import Ensemble, PureState, State, as_density
 
 RANK_TOL = 1e-10
@@ -208,12 +208,6 @@ def _cut_groups(dims: tuple[int, ...], measure: str, group: int) -> tuple[tuple,
             arr.setflags(write=False)
         out.append((dk, coefs, orders, inverse))
     return tuple(out)
-
-
-def _log2_clamped(lam: np.ndarray) -> np.ndarray:
-    """log2 of each eigenvalue, and 0 for those at or below EIG_CLAMP."""
-    safe = lam > EIG_CLAMP
-    return np.where(safe, np.log2(np.where(safe, lam, 1.0)), 0.0)
 
 
 def _qubit_entropy_terms(f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
