@@ -539,7 +539,13 @@ def eof_two_qubit(rho: DensityMatrix) -> float:
 
 def roof_additivity_gap(sigma: State, eta: State, measure: str,
                         config: RoofConfig | None = None) -> float:
-    """roof(sigma x eta) - roof(sigma) - roof(eta)."""
+    """roof(sigma x eta) - roof(sigma) - roof(eta).
+
+    The joint register lays out sigma's sites, then eta's, with dims a + b:
+    each factor's sites stay separate parties. Roof additivity depends on
+    that layout; pairing site i of sigma with site i of eta as one party is
+    another claim, which this function does not test.
+    """
     sig, et = as_density(sigma), as_density(eta)
     joint = DensityMatrix(
         RegisterShape(sig.shape.dims + et.shape.dims),

@@ -49,8 +49,8 @@ class Ensemble:
             raise ValueError("ensemble must have at least one member")
         if len(weights) != len(members):
             raise ValueError("weights and members differ in length")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
+        if not all(0 <= w < math.inf for w in weights):
+            raise ValueError("weights must be finite and non-negative")
         if abs(sum(weights) - 1.0) > NORM_TOL:
             raise ValueError(f"weights must sum to 1, got {sum(weights)!r}")
         shape = members[0].shape
@@ -288,16 +288,30 @@ def save_state(state: State, path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
+def _from_pairs(entries, depth: int) -> list:
+    """The complex numbers of `depth` nested lists of [re, im] pairs, the
+    layout `save_state` writes; any other layout raises ValueError."""
+    if not isinstance(entries, list):
+        raise ValueError(f"state file has {entries!r:.40} where a list belongs")
+    if depth > 1:
+        return [_from_pairs(row, depth - 1) for row in entries]
+    for z in entries:
+        if not (isinstance(z, list) and len(z) == 2 and all(isinstance(x, (int, float)) for x in z)):
+            raise ValueError(f"state file entry {z!r:.40} is not a [re, im] pair of numbers")
+    return [complex(re, im) for re, im in entries]
+
+
 def load_state(path) -> State:
-    """Read a state file written by :func:`save_state`."""
+    """Read a state file written by :func:`save_state`; a file of another
+    layout raises ValueError."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict) or not isinstance(doc.get("dims"), list):
+        raise ValueError("state file must be a JSON object with a 'dims' list")
     shape = RegisterShape(tuple(doc["dims"]))
     if "amplitudes" in doc:
-        amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-        return PureState(shape, amps)
+        return PureState(shape, np.array(_from_pairs(doc["amplitudes"], 1)))
     if "matrix" in doc:
-        mat = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
-        rho = DensityMatrix._adopt(shape, mat)
+        rho = DensityMatrix._adopt(shape, np.array(_from_pairs(doc["matrix"], 2)))
         _require_density(rho)
         return rho
     raise ValueError("state file must contain 'amplitudes' or 'matrix'")

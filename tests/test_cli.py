@@ -95,6 +95,22 @@ class TestMeasureCommand:
         code, _, _ = run(capsys, "measure", "--file", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["measure", "roof"])
+    @pytest.mark.parametrize("doc", [
+        {"dims": [2, 2], "amplitudes": [1, 0, 0, 0]},
+        {"dims": 2, "amplitudes": [[1, 0], [0, 0]]},
+        [[1, 0], [0, 0]],
+        {"dims": [2], "amplitudes": [["a", 0], [0, 0]]},
+    ], ids=["bare-numbers", "scalar-dims", "top-level-list", "non-numeric"])
+    def test_malformed_file_is_usage_error(self, capsys, tmp_path, command, doc):
+        # exit 1 is a failed verification; a file of the wrong layout is a usage error
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "state file" in err
+
     def test_non_integral_dims_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "psi.json"
         save_state(random_pure(RegisterShape((2, 2)), seed=4), path)

@@ -227,6 +227,18 @@ class TestSsaCheck:
         with pytest.raises(ValueError):
             ssa_check(dm(epr()))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pure_route_matches_density(self, seed):
+        # a pure state's marginals come from its amplitudes, a density's from partial traces
+        for dims in ((2, 2, 2), (2, 4, 2)):
+            psi = random_pure(RegisterShape(dims), seed=600 + seed)
+            assert abs(ssa_check(psi) - ssa_check(dm(psi))) <= 1e-12
+        for n in (3, 4):
+            psi = random_pure(qubits(n), seed=610 + seed)
+            for a, b in (((0,), (1,)), ((2,), (0, 1)), ((n - 1, 0), (1,)), ((2, 1), (0,))):
+                got, want = mutual_information(psi, a, b), mutual_information(dm(psi), a, b)
+                assert abs(got - want) <= 1e-12, (n, a, b)
+
 
 class TestMonotoneProperties:
     def test_lu_invariance(self):

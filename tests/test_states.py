@@ -162,6 +162,12 @@ class TestBuilders:
         with pytest.raises(ValueError):
             Ensemble((), ())
 
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf)])
+    def test_ensemble_rejects_non_finite_weights(self, weights):
+        # nan < 0 and abs(nan - 1) > tol are both False
+        with pytest.raises(ValueError, match="finite"):
+            Ensemble(weights, (ghz(2), epr()))
+
 
 class TestIdentityComparison:
     # a generated __eq__ would compare the ndarray fields, whose element-wise
@@ -340,6 +346,21 @@ class TestStateFiles:
         path = tmp_path / "bad.json"
         path.write_text('{"dims": [2, 2]}')
         with pytest.raises(ValueError):
+            load_state(path)
+
+    @pytest.mark.parametrize("doc, match", [
+        ({"dims": [2, 2], "amplitudes": [1, 0, 0, 0]}, "not a \\[re, im\\] pair"),
+        ({"dims": 2, "amplitudes": [[1, 0], [0, 0]]}, "'dims' list"),
+        ([[1, 0], [0, 0]], "JSON object"),
+        ({"dims": [2], "amplitudes": [["a", 0], [0, 0]]}, "not a \\[re, im\\] pair"),
+        ({"dims": [2], "matrix": 5}, "where a list belongs"),
+        ({"dims": [2], "matrix": [[1, 0], [0, 0]]}, "not a \\[re, im\\] pair"),
+    ], ids=["bare-numbers", "scalar-dims", "top-level-list", "non-numeric", "scalar-matrix",
+            "flat-matrix"])
+    def test_rejects_wrong_layout(self, tmp_path, doc, match):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
             load_state(path)
 
     def test_rejects_non_integral_dims(self, tmp_path):
