@@ -7,7 +7,6 @@ from .core import (
     SupportError,
     ValidationReport,
     partial_trace,
-    pure_marginal,
     validate_density,
 )
 from .measures import (

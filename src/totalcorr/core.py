@@ -159,20 +159,14 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(rho.shape.restrict(keep), reduced)
 
 
-def pure_marginal(amplitudes: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Reduced density matrix on `keep` of the pure state with these amplitudes.
-
-    The checking front of `_pure_marginal_stacks` for one selection: the
-    marginal is F F^dag, F the amplitude tensor with the kept sites moved
-    first, in their original order. The full D x D matrix is never formed,
-    which keeps sweeps over large registers cheap. Site indices may come in
-    any order, repeated or as numpy integers; an empty, out-of-range or
-    non-integral selection raises ValueError.
-    """
-    dims = _check_dims(dims)
-    keep = _check_keep(keep, len(dims))
-    ((_, stack),) = _pure_marginal_stacks(amplitudes, dims, [keep])
-    return stack[0]
+def _by_dimension(dims: tuple[int, ...], keeps: Sequence[tuple[int, ...]]) -> dict[int, list[int]]:
+    """Positions in `keeps` grouped by the dimension of the marginal on each
+    keep, in order of first appearance; `dims` and every keep must be
+    checked as `_keep_first` requires."""
+    groups: dict[int, list[int]] = {}
+    for k, keep in enumerate(keeps):
+        groups.setdefault(_keep_first(dims, keep)[1], []).append(k)
+    return groups
 
 
 def _pure_marginal_stacks(amplitudes: np.ndarray, dims: tuple[int, ...],
@@ -182,37 +176,26 @@ def _pure_marginal_stacks(amplitudes: np.ndarray, dims: tuple[int, ...],
     `dims` and every keep must be checked as `_check_dims` and `_check_keep`
     return them. For each marginal dimension dk, in order of first
     appearance, yields the positions in `keeps` of that dk and their
-    marginals as (count, dk, dk) arrays of at most BLOCK_ENTRIES entries
-    (one marginal when a single one is larger), so a consumer that drops
-    each stack holds one at a time. Each keep's amplitude tensor, its kept
-    sites first, is copied into a stack of dk x (D/dk) matrices F, and one
-    stacked F F^dag takes a chunk's marginals. A chunk's stack and its
-    conjugate hold at most BLOCK_ENTRIES entries together (one keep when a
-    single F is larger), so they stay in cache; one buffer of that size
-    serves every chunk and every dk. Each matrix is the one a lone
-    F @ F.conj().T would give, bit for bit.
+    marginals as (count, dk, dk) stacks of `_blocks`, so a consumer that
+    drops each stack holds one at a time. The marginal is F F^dag, F the
+    amplitude tensor with the kept sites moved first, in their original
+    order, as a dk x (D/dk) matrix; the full D x D matrix is never formed.
+    The F of consecutive keeps are copied into one array, which with its
+    conjugate fills a block of `_blocks`, and one stacked F F^dag takes
+    their marginals. Each matrix is the one a lone F @ F.conj().T would
+    give, bit for bit.
     """
     t = np.asarray(amplitudes, dtype=complex).reshape(dims)
-    groups: dict[int, list[int]] = {}
-    for k, keep in enumerate(keeps):
-        groups.setdefault(_keep_first(dims, keep)[1], []).append(k)
-    per_chunk = max(1, BLOCK_ENTRIES // (2 * t.size))
-    flat = np.empty((2, min(per_chunk, len(keeps)) * t.size), dtype=complex)
-    for dk, ks in groups.items():
-        size = min(per_chunk, len(ks)) * t.size
-        buf, conj = flat[:, :size].reshape(2, -1, dk, t.size // dk)
-        per_stack = max(1, BLOCK_ENTRIES // (dk * dk))
-        for first in range(0, len(ks), per_stack):
-            block = ks[first:first + per_stack]
+    for dk, ks in _by_dimension(dims, keeps).items():
+        for stack in _blocks(len(ks), dk * dk):
+            block = ks[stack]
             out = np.empty((len(block), dk, dk), dtype=complex)
-            for start in range(0, len(block), per_chunk):
-                chunk = block[start:start + per_chunk]
-                for slot, k in zip(buf, chunk):
+            for chunk in _blocks(len(block), 2 * t.size):
+                F = np.empty((chunk.stop - chunk.start, dk, t.size // dk), dtype=complex)
+                for f, k in zip(F, block[chunk]):
                     moved = t.transpose(_keep_first(dims, keeps[k])[0])
-                    slot.reshape(moved.shape)[...] = moved
-                m = len(chunk)
-                np.conjugate(buf[:m], out=conj[:m])
-                np.matmul(buf[:m], conj[:m].transpose(0, 2, 1), out=out[start:start + m])
+                    f.reshape(moved.shape)[...] = moved
+                np.matmul(F, F.conj().transpose(0, 2, 1), out=out[chunk])
             yield block, out
 
 
@@ -227,20 +210,21 @@ def _pure_marginal_stacks(amplitudes: np.ndarray, dims: tuple[int, ...],
 SPECTRUM_MIN_DIM = 64
 SPECTRUM_RANK_DIVISOR = 16
 SPECTRUM_TOL = 1e-13
-# Entries per row block of the blockwise passes, per chunk of stacked pure
-# marginals (stack and conjugate together), and per chunk of the roof
-# objective's gathered cut stacks (`roof._pure_values`): 256 KB of
-# complex128 stays in cache. Larger blocks were no faster, and their
-# products with a low-rank factor were at times far slower where BLAS
-# spread them over threads.
+# Entries per block of `_blocks`, its one reader, which batches the row
+# passes over a density, the stacked pure marginals (F and its conjugate
+# together) and the roof objective's gathered cut stacks
+# (`roof._pure_values`): 256 KB of complex128 stays in cache. Larger blocks
+# were no faster, and their products with a low-rank factor were at times
+# far slower where BLAS spread them over threads.
 BLOCK_ENTRIES = 1 << 14
 
 
-def _row_blocks(d: int) -> Iterable[slice]:
-    """Slices of consecutive rows of a d x d matrix, about BLOCK_ENTRIES
-    entries each."""
-    step = max(1, BLOCK_ENTRIES // d)
-    return (slice(i, i + step) for i in range(0, d, step))
+def _blocks(count: int, entries: int) -> Iterator[slice]:
+    """Slices of consecutive items out of `count` that hold at most
+    BLOCK_ENTRIES entries, at `entries` per item (one item when a single
+    one is larger)."""
+    step = max(1, BLOCK_ENTRIES // entries)
+    return (slice(i, min(i + step, count)) for i in range(0, count, step))
 
 
 def _certified_factor(mat: np.ndarray) -> np.ndarray | None:
@@ -270,7 +254,7 @@ def _certified_factor(mat: np.ndarray) -> np.ndarray | None:
     L = L[:, :k]
     lh = L.conj().T
     sq = 0.0
-    for blk in _row_blocks(d):
+    for blk in _blocks(d, d):
         res = L[blk] @ lh
         res -= mat[blk]
         sq += np.vdot(res, res).real
@@ -322,7 +306,7 @@ def _validation_report(mat: np.ndarray, spectrum: np.ndarray, tol: float,
         # |a_ij - conj(a_ji)| is symmetric in i and j, so each row block
         # needs only the columns from its first row on
         herm_dev = float(max(np.max(np.abs(mat[b, b.start:] - mat[b.start:, b].conj().T))
-                             for b in _row_blocks(len(mat))))
+                             for b in _blocks(len(mat), len(mat))))
     if herm_dev > tol:
         violations.append(f"not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
     trace_dev = float(abs(np.trace(mat) - 1.0))

@@ -20,8 +20,8 @@ from .core import (
     DensityMatrix,
     RegisterShape,
     SupportError,
+    _by_dimension,
     _check_keep,
-    _keep_first,
     _pure_marginal_stacks,
     _require_density,
     partial_trace_matrix,
@@ -46,31 +46,31 @@ def _entropy(spectra: np.ndarray) -> np.ndarray:
 
 
 def _marginals(state: State, keeps: Sequence[tuple[int, ...]],
-               kept: int = 0) -> tuple[list[np.ndarray], list[float]]:
-    """The marginals on the first `kept` keeps, and the entropy of the
-    marginal on each keep, by position.
+               kept: int = 0) -> tuple[list[np.ndarray], list[float], float]:
+    """The marginals on the first `kept` keeps, the entropy of the marginal
+    on each keep, by position, and S(state).
 
-    Every keep must be sorted and in range, as `_check_keep` returns it; none
-    is checked here. A pure state's marginals come from one stacked
-    contraction, a density's from its partial traces stacked by size. Each
-    stack takes one eigvalsh, and no other matrix outlives its stack.
+    A density is checked first, by `von_neumann_entropy`, so an invalid one
+    is rejected before any marginal is taken. Every keep must be sorted and
+    in range, as `_check_keep` returns it; none is checked here. A pure
+    state's marginals come from one stacked contraction, a density's from
+    its partial traces stacked by size. Each stack takes one eigvalsh, and
+    no other matrix outlives its stack.
     """
+    whole = von_neumann_entropy(state)
     dims = state.shape.dims
     if isinstance(state, PureState):
         groups = _pure_marginal_stacks(state.amplitudes, dims, keeps)
     else:
-        sizes: dict[int, list[int]] = {}
-        for k, keep in enumerate(keeps):
-            sizes.setdefault(_keep_first(dims, keep)[1], []).append(k)
         groups = ((ks, np.stack([partial_trace_matrix(state.matrix, dims, keeps[k]) for k in ks]))
-                  for ks in sizes.values())
+                  for ks in _by_dimension(dims, keeps).values())
     mats, out = [None] * kept, [0.0] * len(keeps)
     for ks, stack in groups:
         for k, mat, value in zip(ks, stack, _entropy(np.linalg.eigvalsh(stack)).tolist()):
             out[k] = value
             if k < kept:
                 mats[k] = mat
-    return mats, out
+    return mats, out, whole
 
 
 def von_neumann_entropy(rho: State) -> float:
@@ -95,8 +95,6 @@ def mutual_information(state: State, a: Iterable[int], b: Iterable[int]) -> floa
     a, b = _check_keep(a, n), _check_keep(b, n)
     if set(a) & set(b):
         raise ValueError(f"index sets overlap: {a} and {b}")
-    if isinstance(state, DensityMatrix):
-        _require_density(state)
     s_a, s_b, s_ab = _marginals(state, [a, b, tuple(sorted(a + b))])[1]
     return s_a + s_b - s_ab
 
@@ -139,9 +137,9 @@ def _marginal_pass(state: State, with_pairs: bool = True) -> tuple[list[np.ndarr
         if n < 2:
             raise ValueError("pairwise measures require at least 2 subsystems")
         subsets += combinations(range(n), 2)
-    reds, entropies = _marginals(state, subsets, kept=n)
+    reds, entropies, whole = _marginals(state, subsets, kept=n)
     pairs = dict(zip(subsets[n:], entropies[n:]))
-    return reds, _correlations(entropies[:n], pairs, von_neumann_entropy(state))
+    return reds, _correlations(entropies[:n], pairs, whole)
 
 
 def _direct(state: State, name: str) -> float:
@@ -236,8 +234,8 @@ def ssa_check(rho: State) -> float:
     """
     if rho.shape.nsites != 3:
         raise ValueError("ssa_check requires exactly 3 subsystems")
-    s_xy, s_yz, s_y = _marginals(rho, [(0, 1), (1, 2), (1,)])[1]
-    return s_xy + s_yz - s_y - von_neumann_entropy(rho)
+    _, (s_xy, s_yz, s_y), s_xyz = _marginals(rho, [(0, 1), (1, 2), (1,)])
+    return s_xy + s_yz - s_y - s_xyz
 
 
 def direct_measure(state: State, name: str) -> float:

@@ -36,11 +36,12 @@ from itertools import combinations
 
 import numpy as np
 
-from . import core
 from .core import (
     DensityMatrix,
     RegisterShape,
     ResourceLimitError,
+    _blocks,
+    _by_dimension,
     _indices,
     _keep_first,
     _require_density,
@@ -195,15 +196,14 @@ def _cut_groups(dims: tuple[int, ...], measure: str, group: int) -> tuple[tuple,
     """
     # the row index as a last axis; of size 1 for one row, it moves no entry
     index = np.moveaxis(np.arange(group * math.prod(dims)).reshape((group,) + dims), 0, -1)
-    groups: dict[int, list] = {}
-    for keep, coef in _cuts(dims, measure, group):
-        axes, dk = _keep_first(index.shape, keep)
-        groups.setdefault(dk, []).append((coef, index.transpose(axes).reshape(-1)))
+    keeps, weights = zip(*_cuts(dims, measure, group))
     out = []
-    for dk, cuts in groups.items():
-        coefs, orders = np.array([c for c, _ in cuts]), np.stack([o for _, o in cuts])
+    for dk, ks in _by_dimension(index.shape, keeps).items():
+        coefs = np.array([weights[k] for k in ks])
+        orders = np.stack([index.transpose(_keep_first(index.shape, keeps[k])[0]).reshape(-1)
+                           for k in ks])
         size = orders.shape[1]
-        inverse = (np.argsort(orders, axis=1) + size * np.arange(len(cuts))[:, None]).ravel()
+        inverse = (np.argsort(orders, axis=1) + size * np.arange(len(ks))[:, None]).ravel()
         for arr in (coefs, orders, inverse):
             arr.setflags(write=False)
         out.append((dk, coefs, orders, inverse))
@@ -256,12 +256,12 @@ def _pure_values(W: np.ndarray, dims: tuple[int, ...], measure: str,
     has gradient -(log2(rho_K / p) x 1) w, with log 0 on eigenvalues under
     EIG_CLAMP; a linear-entropy term p - Tr(rho_K^2) / p has gradient
     w - (2 rho_K w - Tr(rho_K^2) w / p) / p. All cuts of one marginal
-    dimension run as stacks of consecutive members whose gathered rows hold
-    at most core.BLOCK_ENTRIES entries (one member when a single one is
-    larger): 2 x 2 marginals in closed form, larger ones through one eigh
-    of f f^dag, the smaller side of its cut. Every member is computed on its
-    own, so its numbers do not depend on the others or on the chunks. A
-    member of weight at most 1e-14 is dead: its value and gradient are 0.
+    dimension run as the member chunks of `core._blocks`, one member's
+    gathered rows to an item: 2 x 2 marginals in closed form, larger ones
+    through one eigh of f f^dag, the smaller side of its cut. Every member
+    is computed on its own, so its numbers do not depend on the others or
+    on the chunks. A member of weight at most 1e-14 is dead: its value and
+    gradient are 0.
     """
     members = W.reshape(-1, group * W.shape[1])
     p = np.einsum("kd,kd->k", members, members.conj()).real
@@ -270,10 +270,9 @@ def _pure_values(W: np.ndarray, dims: tuple[int, ...], measure: str,
     values = np.zeros(len(members))
     grad = np.zeros_like(members)
     for dk, coefs, order, inverse in _cut_groups(dims, measure, group):
-        c, step = len(coefs), max(1, core.BLOCK_ENTRIES // order.size)
-        for start in range(0, len(members), step):
-            k = min(step, len(members) - start)
-            part = slice(start, start + k)
+        c = len(coefs)
+        for part in _blocks(len(members), order.size):
+            k = part.stop - part.start
             flat = members[part, order].reshape(k * c, dk, -1)
             ps = np.repeat(p_live[part], c)
             if measure == "MW":

@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .core import DensityMatrix, RegisterShape, _frozen_complex, _require_density, _row_blocks
+from .core import DensityMatrix, RegisterShape, _frozen_complex, _blocks, _require_density
 
 NORM_TOL = 1e-10
 
@@ -267,7 +267,7 @@ def random_density(shape: RegisterShape, rank: int, seed: int) -> DensityMatrix:
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         v /= np.linalg.norm(v)
         vc = v.conj()
-        for blk in _row_blocks(d):
+        for blk in _blocks(d, d):
             out[blk] += p * np.outer(v[blk], vc)
     return DensityMatrix._adopt(shape, out)
 
@@ -290,11 +290,17 @@ def save_state(state: State, path) -> None:
 
 def _from_pairs(entries, depth: int) -> list:
     """The complex numbers of `depth` nested lists of [re, im] pairs, the
-    layout `save_state` writes; any other layout raises ValueError."""
+    layout `save_state` writes, rows of one length; any other layout raises
+    ValueError."""
     if not isinstance(entries, list):
         raise ValueError(f"state file has {entries!r:.40} where a list belongs")
     if depth > 1:
-        return [_from_pairs(row, depth - 1) for row in entries]
+        rows = [_from_pairs(row, depth - 1) for row in entries]
+        for i, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise ValueError(
+                    f"state file row {i} has {len(row)} entries, row 0 has {len(rows[0])}")
+        return rows
     for z in entries:
         if not (isinstance(z, list) and len(z) == 2 and all(isinstance(x, (int, float)) for x in z)):
             raise ValueError(f"state file entry {z!r:.40} is not a [re, im] pair of numbers")

@@ -111,6 +111,14 @@ class TestMeasureCommand:
         assert out == ""
         assert "state file" in err
 
+    def test_ragged_matrix_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}))
+        code, out, err = run(capsys, "measure", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "state file row 1 has 1 entries" in err
+
     def test_non_integral_dims_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "psi.json"
         save_state(random_pure(RegisterShape((2, 2)), seed=4), path)

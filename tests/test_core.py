@@ -11,12 +11,13 @@ from totalcorr import (
     DensityMatrix,
     RegisterShape,
     partial_trace,
-    pure_marginal,
     validate_density,
 )
 from totalcorr import core
 from totalcorr.core import (
+    BLOCK_ENTRIES,
     INPUT_TOL,
+    _blocks,
     _certified_factor,
     _certified_spectrum,
     _keep_first,
@@ -25,7 +26,16 @@ from totalcorr.core import (
     _validation_report,
     partial_trace_matrix,
 )
-from totalcorr.measures import _entropy, measure_report, mutual_information, von_neumann_entropy
+from totalcorr import measures
+from totalcorr.measures import (
+    _entropy,
+    measure_M,
+    measure_O,
+    measure_report,
+    mutual_information,
+    ssa_check,
+    von_neumann_entropy,
+)
 from totalcorr.states import dm, epr, ghz, random_density, random_pure
 
 def ptrace_loops(mat, dims, keep):
@@ -145,7 +155,7 @@ class TestPartialTrace:
 
     def test_pure_marginal_matches_matrix_path(self):
         psi = random_pure(RegisterShape((2, 2, 2, 2)), seed=8)
-        fast = pure_marginal(psi.amplitudes, psi.shape.dims, (1, 3))
+        ((_, (fast,)),) = _pure_marginal_stacks(psi.amplitudes, psi.shape.dims, [(1, 3)])
         slow = partial_trace(dm(psi), (1, 3)).matrix
         assert np.allclose(fast, slow, atol=1e-12)
 
@@ -159,6 +169,10 @@ def moveaxis_marginal(amps, dims, keep):
 
 
 class TestPureMarginal:
+    """The stacked pure-state marginals, and the selection checks that guard
+    the cached axis order they share with `partial_trace_matrix`, the
+    checking front of the marginal layer."""
+
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2, 2)])
     def test_every_keep_bit_identical_to_moveaxis(self, dims):
         rng = np.random.default_rng(sum(dims))
@@ -167,7 +181,7 @@ class TestPureMarginal:
         n = len(dims)
         keeps = [k for size in range(1, n + 1) for k in combinations(range(n), size)]
         for keep in keeps:
-            got = pure_marginal(amps, dims, keep)
+            ((_, (got,)),) = _pure_marginal_stacks(amps, dims, [keep])
             assert np.array_equal(got, moveaxis_marginal(amps, dims, keep)), keep
         # the same keeps as one list through the stacked contraction
         seen = []
@@ -197,38 +211,50 @@ class TestPureMarginal:
                 assert np.array_equal(got, moveaxis_marginal(psi.amplitudes, dims, keeps[k]))
 
     def test_keep_forms_agree(self):
-        psi = random_pure(RegisterShape((3, 2, 2, 2)), seed=12)
-        amps, dims = psi.amplitudes, psi.shape.dims
-        want = moveaxis_marginal(amps, dims, (0, 2))
+        mat, dims = dm(random_pure(RegisterShape((3, 2, 2, 2)), seed=12)).matrix, (3, 2, 2, 2)
+        want = partial_trace_matrix(mat, dims, (0, 2))
         for keep in [(2, 0), [0, 2, 0, 2], {2, 0}, (np.int64(2), np.int32(0)),
                      np.array([2, 0]), iter([0, 2])]:
-            assert np.array_equal(pure_marginal(amps, dims, keep), want), keep
-        assert np.array_equal(pure_marginal(amps, np.array(dims), (0, 2)), want)
+            assert np.array_equal(partial_trace_matrix(mat, dims, keep), want), keep
+        assert np.array_equal(partial_trace_matrix(mat, np.array(dims), (0, 2)), want)
 
     @pytest.mark.parametrize("keep", [(), [-1], (0, 3), (1.0,), [1.7], (np.float64(1.0),),
                                       ("1",), (None,)])
     def test_bad_keep_raises_after_a_valid_call(self, keep):
         # the axis order is cached per register and selection: 1.0 hashes and
         # compares equal to 1, so it must be rejected before the lookup
-        amps, dims = ghz(3).amplitudes, (2, 2, 2)
-        pure_marginal(amps, dims, (1,))
-        pure_marginal(amps, dims, (0, 1))
+        mat, dims = dm(ghz(3)).matrix, (2, 2, 2)
+        partial_trace_matrix(mat, dims, (1,))
+        partial_trace_matrix(mat, dims, (0, 1))
         with pytest.raises(ValueError):
-            pure_marginal(amps, dims, keep)
+            partial_trace_matrix(mat, dims, keep)
 
     def test_non_integral_dims_raise_after_a_valid_call(self):
-        amps = ghz(3).amplitudes
-        pure_marginal(amps, (2, 2, 2), (1,))
+        mat = dm(ghz(3)).matrix
+        partial_trace_matrix(mat, (2, 2, 2), (1,))
         with pytest.raises(ValueError, match="integers"):
-            pure_marginal(amps, (2.0, 2, 2), (1,))
+            partial_trace_matrix(mat, (2.0, 2, 2), (1,))
 
     def test_cached_axis_order(self):
         # kept sites first, traced sites after, both in register order; the
         # cache holds these small tuples and no array that grows with D
         psi = random_pure(RegisterShape((2,) * 10), seed=3)
-        pure_marginal(psi.amplitudes, psi.shape.dims, (4, 7))
+        list(_pure_marginal_stacks(psi.amplitudes, psi.shape.dims, [(4, 7)]))
         order, dk = _keep_first(psi.shape.dims, (4, 7))
         assert order == (4, 7, 0, 1, 2, 3, 5, 6, 8, 9) and dk == 4
+
+
+class TestBlocks:
+    def test_no_items_no_blocks(self):
+        assert list(_blocks(0, 4)) == []
+
+    def test_items_larger_than_a_block_go_one_by_one(self):
+        assert list(_blocks(3, BLOCK_ENTRIES + 1)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    def test_last_block_is_partial(self):
+        step = BLOCK_ENTRIES // 256
+        blocks = list(_blocks(2 * step + 5, 256))
+        assert blocks == [slice(0, step), slice(step, 2 * step), slice(2 * step, 2 * step + 5)]
 
 
 class TestValidateDensity:
@@ -326,6 +352,22 @@ class TestLowRankSpectrum:
         with pytest.raises(ValueError, match="invalid density matrix: negative eigenvalue"):
             fn(rho)
 
+    @pytest.mark.parametrize("fn, dims", [(measure_report, (2,) * 8), (measure_M, (2,) * 8),
+                                          (measure_O, (2,) * 8), (ssa_check, (4, 4, 16))],
+                             ids=["measure_report", "measure_M", "measure_O", "ssa_check"])
+    def test_invalid_density_is_rejected_before_any_marginal(self, monkeypatch, fn, dims):
+        bad = perturbed(qubit_density(8, 4, seed=5), 1e-6)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:])
+            return partial_trace_matrix(*args)
+
+        monkeypatch.setattr(measures, "partial_trace_matrix", counting)
+        with pytest.raises(ValueError, match="invalid density matrix: negative eigenvalue"):
+            fn(DensityMatrix(RegisterShape(dims), bad.matrix))
+        assert calls == []
+
     def test_tiny_negative_eigenvalue_passes_on_the_dense_path(self, eigvalsh_sizes):
         rho = perturbed(qubit_density(8, 4, seed=5), 1e-10)
         value = von_neumann_entropy(rho)
@@ -388,21 +430,20 @@ class TestHermiticityFromCertificate:
     def test_certified_density_takes_one_blockwise_pass(self, monkeypatch):
         rho = qubit_density(8, 4, seed=7)
         passes = []
-        row_blocks = core._row_blocks
 
-        def counting(d):
-            passes.append(d)
-            return row_blocks(d)
+        def counting(count, entries):
+            passes.append((count, entries))
+            return _blocks(count, entries)
 
-        monkeypatch.setattr(core, "_row_blocks", counting)
+        monkeypatch.setattr(core, "_blocks", counting)
         spectrum = _require_density(rho)
         # the residual of the certificate; the Hermiticity pass is skipped
-        assert passes == [256]
+        assert passes == [(256, 256)]
         assert np.array_equal(spectrum, _certified_spectrum(rho.matrix)[0])
         # a residual that fails its check is followed by the Hermiticity pass
         passes.clear()
         _require_density(with_anti_hermitian_part(rho, 1e-14))
-        assert passes == [256, 256]
+        assert passes == [(256, 256), (256, 256)]
 
 
 def test_import_leaves_scipy_unloaded():

@@ -315,6 +315,46 @@ class TestLineSearch:
         assert np.array_equal(d, -g)
 
 
+Q3 = RegisterShape((3, 3))
+
+
+def qutrit_werner(p):
+    """p times the normalized antisymmetric projector of two qutrits, plus
+    1 - p times the normalized symmetric one."""
+    swap = np.eye(9)[[3 * (k % 3) + k // 3 for k in range(9)]]
+    return DensityMatrix(Q3, p * (np.eye(9) - swap) / 6 + (1 - p) * (np.eye(9) + swap) / 12)
+
+
+def qutrit_isotropic(f):
+    """Fidelity f with the maximally entangled qutrit pair, the rest spread
+    evenly over its orthogonal complement."""
+    phi = np.eye(3).reshape(9) / np.sqrt(3)
+    proj = np.outer(phi, phi)
+    return DensityMatrix(Q3, f * proj + (1 - f) * (np.eye(9) - proj) / 8)
+
+
+def isotropic_formation(f, d=3):
+    """R(f) = h(g) + (1 - g) log2(d - 1), g = (sqrt(f) + sqrt((d - 1)(1 - f)))^2 / d,
+    the formation value of an isotropic state (Terhal and Vollbrecht, PRL 85,
+    2625 (2000)); for d = 3 it is its own convex hull for 1/3 <= f <= 8/9."""
+    g = (np.sqrt(f) + np.sqrt((d - 1) * (1 - f))) ** 2 / d
+    return -g * np.log2(g) - (1 - g) * np.log2(1 - g) + (1 - g) * np.log2(d - 1)
+
+
+class TestAgainstQutritFormation:
+    # a pure two-party member has M = O = S = its entanglement entropy, so
+    # each roof is the formation value; 3 x 3 marginals take the eigh branch
+    # of the objective, which the two-qubit closed form otherwise skips
+    @pytest.mark.parametrize("measure", ["M", "O", "S"])
+    @pytest.mark.parametrize("rho, exact", [
+        (qutrit_werner(1.0), 1.0),
+        (qutrit_isotropic(0.5), isotropic_formation(0.5)),
+    ], ids=["werner-antisymmetric", "isotropic-0.5"])
+    def test_roof_meets_the_formation_value(self, rho, exact, measure):
+        value = roof_minimize(rho, measure, RoofConfig(restarts=4, tolerance=1e-10)).value
+        assert exact - 1e-12 <= value <= exact + 1e-6
+
+
 class TestAgainstFormationOracle:
     def test_eof_epr(self):
         assert eof_two_qubit(dm(epr())) == pytest.approx(1.0, abs=1e-12)

@@ -355,8 +355,9 @@ class TestStateFiles:
         ({"dims": [2], "amplitudes": [["a", 0], [0, 0]]}, "not a \\[re, im\\] pair"),
         ({"dims": [2], "matrix": 5}, "where a list belongs"),
         ({"dims": [2], "matrix": [[1, 0], [0, 0]]}, "not a \\[re, im\\] pair"),
+        ({"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}, "^state file row 1 has 1 entries"),
     ], ids=["bare-numbers", "scalar-dims", "top-level-list", "non-numeric", "scalar-matrix",
-            "flat-matrix"])
+            "flat-matrix", "ragged-matrix"])
     def test_rejects_wrong_layout(self, tmp_path, doc, match):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
