@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from totalcorr import (DensityMatrix, Ensemble, PureState, RegisterShape, RoofConfig, epr, ghz,
-                       measures, product, random_density, random_pure, save_state)
-from totalcorr.cli import (check_additivity, check_bound_M, check_entropy_ssa, check_flags,
+from totalcorr import (DensityMatrix, Ensemble, PureState, RegisterShape, RoofConfig, cli, epr,
+                       ghz, measures, product, random_density, random_pure, save_state)
+from totalcorr.cli import (Check, check_additivity, check_bound_M, check_entropy_ssa, check_flags,
                            check_form2, main)
 
 
@@ -289,6 +289,16 @@ class TestVerifyCommand:
         assert out == ""
         assert "--trials" in err
 
+    def test_pcrc_failure_names_its_trial_and_seed(self, capsys, monkeypatch):
+        miss = Check(-0.02, False, 1, 0, (1, -0.02, 0.31, 0.29))
+        monkeypatch.setattr(cli, "check_pcrc", lambda densities, config: miss)
+        code, out, err = run(capsys, "verify", "pcrc", "--seed", "5", "--trials", "2")
+        assert code == 1
+        assert out.startswith("FAIL pcrc: converged negative gap -2.000e-02 at trial 1, "
+                              "roof 0.310000 against formation 0.290000 (")
+        [failure] = json.loads(err)["failures"]
+        assert (failure["check"], failure["trial"], failure["seed"]) == ("pcrc", 1, 6)
+
     def test_lines_end_with_elapsed_time(self, capsys):
         code, out, _ = run(capsys, "verify", "additivity", "--trials", "3")
         assert code == 0
@@ -361,6 +371,24 @@ class TestClaimChecks:
         assert code == 1
         assert out.startswith("FAIL entropy-ssa: min residual -")
         assert json.loads(err)["failures"][0]["check"] == "entropy-ssa"
+
+
+class TestExitCodes:
+    # an input error exits 2 and a size above the roof's cap exits 3, each
+    # naming its cause on stderr
+    @pytest.mark.parametrize("argv, code, message", [
+        (["sweep", "--family", "ghz", "--x-grid", "0:0.3:0.015"], 2,
+         "has points that are not exact at two decimals"),
+        (["roof", "--file", "{rho}", "--ensemble-size", "3"], 2,
+         "ensemble_size must be >= rank (4), got 3"),
+        (["roof", "--state", "ghz", "--n", "9"], 3, "dimension 512 exceeds cap 256"),
+    ], ids=["x-grid-off-two-decimals", "ensemble-below-rank", "dimension-cap"])
+    def test_exit_code_and_cause(self, capsys, tmp_path, argv, code, message):
+        rho = tmp_path / "rho.json"
+        save_state(random_density(RegisterShape((2, 2)), 4, seed=5), rho)
+        result, out, err = run(capsys, *(arg.format(rho=rho) for arg in argv))
+        assert (result, out) == (code, "")
+        assert message in err
 
 
 class TestOptions:

@@ -31,8 +31,9 @@ from totalcorr import (
     von_neumann_entropy,
     w,
 )
+from totalcorr import measures
 from totalcorr.cli import check_bound_M, check_entropy_ssa, check_form2
-from totalcorr.measures import EIG_CLAMP, _entropy
+from totalcorr.measures import EIG_CLAMP, _entropy, direct_measure
 from totalcorr.states import PureState
 
 
@@ -197,6 +198,30 @@ class TestForm2:
     def test_matches_on_random_pure(self):
         check = check_form2(300, 10)
         assert check.passed, check
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 4), (3, 3), (2, 2, 3, 2)])
+    @pytest.mark.parametrize("rank", [None, 3], ids=["pure", "rank3"])
+    def test_matches_measure_S_on_mixed_dimensions(self, dims, rank):
+        # sites of different dimensions are diagonalized one by one: their
+        # marginals do not fit one stacked eigh
+        shape = RegisterShape(dims)
+        state = random_pure(shape, seed=40) if rank is None else random_density(shape, rank, 40)
+        assert measure_S_form2(state) == pytest.approx(measure_S(state), abs=1e-12)
+
+    def test_checks_rho_once_and_diagonalizes_single_sites_only(self, monkeypatch):
+        # the eigenpairs of each product come from its factors': no eigh of a
+        # product, and no check of a marginal or product the pass has just made
+        rho = random_density(qubits(6), 64, seed=106)
+        expected = measure_S(rho)
+        checked, sizes = [], []
+        require, eigh = measures._require_density, np.linalg.eigh
+        monkeypatch.setattr(measures, "_require_density",
+                            lambda r, *args: checked.append(r) or require(r, *args))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(a.shape[-1]) or eigh(a))
+        value = measure_S_form2(rho)
+        assert len(checked) == 1 and checked[0] is rho
+        assert sizes == [2] * 6
+        assert value == pytest.approx(expected, abs=1e-12)
 
 
 class TestBounds:
@@ -402,6 +427,18 @@ class TestMarginalLayer:
 
 
 class TestInputValidation:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: relative_entropy(dm(epr()), DensityMatrix(qubits(1), np.eye(2) / 2)),
+         "states must share one register shape"),
+        (lambda: measure_S_form2(random_qubit(0)), "requires at least 2 subsystems"),
+        (lambda: bound_M(1), "requires n >= 2 and d >= 2"),
+        (lambda: bound_S(2, 1), "requires n >= 2 and d >= 2"),
+        (lambda: direct_measure(epr(), "X"), "unknown measure 'X'"),
+    ], ids=["relative-entropy-shapes", "form2-one-site", "bound-M", "bound-S", "measure-name"])
+    def test_rejects_bad_arguments(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
     @pytest.mark.parametrize("fn", [
         measure_M, measure_O, measure_S, measure_MW, measure_report,
         von_neumann_entropy, linear_entropy, lambda rho: mutual_information(rho, (0,), (1,)),

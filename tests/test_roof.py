@@ -145,6 +145,16 @@ class TestRoofMinimize:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             roof_minimize(not_psd, "M", RoofConfig(restarts=2))
 
+    @pytest.mark.parametrize("rho, config, match", [
+        (DensityMatrix(RegisterShape((2,)), np.eye(2) / 2), FAST,
+         "roof requires at least 2 subsystems"),
+        (random_density(Q2, 4, seed=5), RoofConfig(ensemble_size=3),
+         r"ensemble_size must be >= rank \(4\), got 3"),
+    ], ids=["one-site", "ensemble-below-rank"])
+    def test_rejects_bad_arguments(self, rho, config, match):
+        with pytest.raises(ValueError, match=match):
+            roof_minimize(rho, "M", config)
+
 
 class TestBatchedRestarts:
     # restart k of a batch must take exactly the steps it takes alone with

@@ -198,6 +198,20 @@ class TestIdentityComparison:
         assert hash(RegisterShape((2, 3))) == hash(RegisterShape((2, 3)))
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: PureState(Q1, np.array([1.0, 1.0])), "state is not normalized"),
+        (lambda: Ensemble((0.5, 0.5), (KET0,)), "weights and members differ in length"),
+        (lambda: w(1), "w requires n >= 2"),
+        (lambda: wbar(1), "wbar requires n >= 2"),
+        (lambda: family1(0.5, 2), "family1 requires n >= 3"),
+        (lambda: product([]), "product requires at least one state"),
+    ], ids=["unnormalized", "ensemble-lengths", "w", "wbar", "family1", "empty-product"])
+    def test_rejects_bad_arguments(self, call, match):
+        with pytest.raises(ValueError, match=f"^{match}"):
+            call()
+
+
 class TestFlaggedMixture:
     def test_single_member(self):
         rho = flagged_mixture(Ensemble((1.0,), (epr(),)))
@@ -356,8 +370,9 @@ class TestStateFiles:
         ({"dims": [2], "matrix": 5}, "where a list belongs"),
         ({"dims": [2], "matrix": [[1, 0], [0, 0]]}, "not a \\[re, im\\] pair"),
         ({"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}, "^state file row 1 has 1 entries"),
+        ({"dims": [2, 2], "amplitudes": [[1, 0], [0, 0]]}, "expected array of shape \\(4,\\)"),
     ], ids=["bare-numbers", "scalar-dims", "top-level-list", "non-numeric", "scalar-matrix",
-            "flat-matrix", "ragged-matrix"])
+            "flat-matrix", "ragged-matrix", "dims-mismatch"])
     def test_rejects_wrong_layout(self, tmp_path, doc, match):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
