@@ -14,7 +14,6 @@ from .measures import (
     bound_M,
     bound_S,
     direct_measure,
-    linear_entropy,
     measure_M,
     measure_MW,
     measure_O,

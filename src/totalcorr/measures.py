@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import (
-    DensityMatrix,
     RegisterShape,
     SupportError,
     _by_dimension,
@@ -79,14 +77,6 @@ def von_neumann_entropy(rho: State) -> float:
     if isinstance(rho, PureState):
         return 0.0
     return float(_entropy(_require_density(rho)))
-
-
-def linear_entropy(rho: State) -> float:
-    """1 - Tr rho^2, in [0, 1 - 1/D]."""
-    if isinstance(rho, PureState):
-        return 0.0
-    _require_density(rho)
-    return _linear_entropy_sum([rho.matrix])
 
 
 def mutual_information(state: State, a: Iterable[int], b: Iterable[int]) -> float:
@@ -169,32 +159,54 @@ def measure_MW(state: State) -> float:
     return _direct(state, "MW")
 
 
-def _tr_log2(rho: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
-    """Tr rho log2 sigma over supp sigma, for sigma = vecs diag(vals) vecs^dag.
+def _tr_log2(overlaps: np.ndarray, vals: np.ndarray) -> float:
+    """Tr rho log2 sigma over supp sigma, from sigma's eigenvalues `vals` and
+    rho's weight on each of sigma's eigenvectors, `overlaps`, of one shape.
 
     Eigenvalues at or below SUPPORT_TOL are outside the support; SupportError
     is raised when rho puts more than SUPPORT_TOL of its weight there.
     """
     on_support = vals > SUPPORT_TOL
-    overlaps = (vecs.conj() * (rho @ vecs)).sum(axis=0).real
     leak = float(overlaps[~on_support].sum())
     if leak > SUPPORT_TOL:
         raise SupportError(f"support violation: weight {leak:.3e} outside supp(sigma)")
     return float((overlaps[on_support] * np.log2(vals[on_support])).sum())
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+def relative_entropy(rho: State, sigma: State) -> float:
     """Tr rho (log2 rho - log2 sigma); requires supp(rho) within supp(sigma).
 
-    Both arguments must be density matrices; each is validated on the
-    spectrum computed here anyway.
+    Either argument may be a pure state or a density matrix; each density
+    is validated on the spectrum computed here anyway.
     """
+    rho, sigma = as_density(rho), as_density(sigma)
     if rho.shape != sigma.shape:
         raise ValueError("states must share one register shape")
     svals, svecs = np.linalg.eigh(sigma.matrix)
     _require_density(sigma, svals)
     rvals = _require_density(rho)
-    return -float(_entropy(rvals)) - _tr_log2(rho.matrix, svals, svecs)
+    overlaps = (svecs.conj() * (rho.matrix @ svecs)).sum(axis=0).real
+    return -float(_entropy(rvals)) - _tr_log2(overlaps, svals)
+
+
+def _product_weights(state: State, vecs: Sequence[np.ndarray]) -> np.ndarray:
+    """P = diag(K^dag rho K) for K = V_1 x ... x V_n, as a tensor with one
+    axis per site: the state's weight on each product of the columns of
+    `vecs`, one unitary per site.
+
+    One contraction per site: a pure state's site axis with V^dag, giving
+    P = |K^dag psi|^2; a density's row and column of the site with V^dag
+    and V into one index, so each step costs O(D^2 d) and no D x D product
+    is formed.
+    """
+    pure, dims = isinstance(state, PureState), state.shape.dims
+    t = state.amplitudes.reshape(dims) if pure else state.matrix.reshape(dims * 2)
+    for k, v in enumerate(vecs):
+        # a density's w[i, j, a] = conj(V[i, a]) V[j, a]; the sites before k
+        # have lost their column axes, so site k's column is axis len(dims)
+        w, axes = (v.conj(), [k]) if pure else (v.conj()[:, None] * v, [k, len(dims)])
+        t = np.moveaxis(np.tensordot(w, t, (range(len(axes)), axes)), 0, k)
+    return np.abs(t) ** 2 if pure else t.real
 
 
 def measure_S_form2(state: State) -> float:
@@ -202,23 +214,27 @@ def measure_S_form2(state: State) -> float:
 
     [sum_{i<j} S(rho_ij || rho_i x rho_j) + S(rho || rho_1 x ... x rho_N)] / 4;
     agrees with measure_S to high precision. Each term is -S(rho_A) -
-    Tr rho_A log2 sigma_A, and the eigenpairs of a product sigma_A are the
-    Kronecker products of its factors': each single-site marginal is
-    diagonalized once, and no product is. One marginal pass gives every
-    marginal and entropy, and checks a density once.
+    Tr rho_A log2 sigma_A. The eigenvectors of every product sigma_A are
+    products of the single-site eigenvectors, so rho_A's weights on them
+    are the weights P of `_product_weights` summed over the sites outside
+    A (a unitary on a traced site leaves the partial trace unchanged), and
+    sigma_A's eigenvalues are the products of its factors'. Each
+    single-site marginal is diagonalized once, and no product is. One
+    marginal pass gives the single-site marginals and every entropy, and
+    checks a density once.
     """
     n = state.shape.nsites
     if n < 2:
         raise ValueError("requires at least 2 subsystems")
     pairs = list(combinations(range(n), 2))
-    mats, entropies, whole = _marginals(state, [(i,) for i in range(n)] + pairs, n + len(pairs))
-    eigs = [np.linalg.eigh(mat) for mat in mats[:n]]
-    terms = zip(pairs + [range(n)], mats[n:] + [as_density(state).matrix], entropies[n:] + [whole])
+    mats, entropies, whole = _marginals(state, [(i,) for i in range(n)] + pairs, n)
+    eigs = [np.linalg.eigh(mat) for mat in mats]
+    weights = _product_weights(state, [vecs for _, vecs in eigs])
     total = 0.0
-    for sites, mat, entropy in terms:
-        vals = reduce(np.kron, [eigs[i][0] for i in sites])
-        vecs = reduce(np.kron, [eigs[i][1] for i in sites])
-        total -= entropy + _tr_log2(mat, vals, vecs)
+    for sites, entropy in zip(pairs + [range(n)], entropies[n:] + [whole]):
+        vals = math.prod(np.ix_(*[eigs[i][0] for i in sites]))
+        overlaps = weights.sum(axis=tuple(k for k in range(n) if k not in sites))
+        total -= entropy + _tr_log2(overlaps, vals)
     return total / 4.0
 
 

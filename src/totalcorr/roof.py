@@ -518,8 +518,9 @@ def roof_minimize(rho: State, measure: str, config: RoofConfig | None = None) ->
     return min(candidates, key=lambda res: res.value)
 
 
-def eof_two_qubit(rho: DensityMatrix) -> float:
+def eof_two_qubit(rho: State) -> float:
     """Entanglement of Formation of a two-qubit state via the concurrence."""
+    rho = as_density(rho)
     if rho.shape.dims != (2, 2):
         raise ValueError("requires a two-qubit state")
     _require_density(rho)

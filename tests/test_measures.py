@@ -15,7 +15,6 @@ from totalcorr import (
     dm,
     epr,
     ghz,
-    linear_entropy,
     measure_M,
     measure_MW,
     measure_O,
@@ -23,6 +22,7 @@ from totalcorr import (
     measure_S_form2,
     measure_report,
     mutual_information,
+    partial_trace,
     product,
     random_density,
     random_pure,
@@ -74,19 +74,15 @@ class TestEntropies:
         rho = DensityMatrix(qubits(1), np.diag([1 / 3, 2 / 3]))
         assert von_neumann_entropy(rho) == pytest.approx(binary_entropy(1 / 3), abs=1e-12)
 
-    def test_linear_entropy_values(self):
-        assert linear_entropy(DensityMatrix(qubits(1), np.eye(2) / 2)) == pytest.approx(0.5)
-        assert linear_entropy(dm(epr())) == pytest.approx(0.0, abs=1e-12)
-        rho = DensityMatrix(qubits(1), np.diag([0.75, 0.25]))
-        assert linear_entropy(rho) == pytest.approx(0.375)
-
     @pytest.mark.parametrize("n", range(2, 9))
     def test_linear_entropy_matches_trace_of_square(self, n):
-        # the sum of squared moduli against Tr(rho rho) from the full product
+        # MW's sum of squared moduli against Tr(rho_i rho_i) from the full
+        # product, on single-site marginals taken by partial_trace
         for rank in (1, 4, 2**n):
             rho = random_density(qubits(n), rank, seed=10 * n + rank)
-            old = 1.0 - np.trace(rho.matrix @ rho.matrix).real
-            assert abs(linear_entropy(rho) - old) <= 1e-14
+            reds = [partial_trace(rho, {i}).matrix for i in range(n)]
+            old = sum(1.0 - np.trace(red @ red).real for red in reds)
+            assert abs(measure_MW(rho) - old) <= 1e-14
 
 
 class TestMutualInformation:
@@ -159,7 +155,6 @@ class TestRelativeEntropy:
         for seed in range(5):
             psi = random_pure(qubits(2), seed=100 + seed)
             rho = dm(psi)
-            from totalcorr.core import partial_trace
             prod = np.kron(partial_trace(rho, {0}).matrix, partial_trace(rho, {1}).matrix)
             val = relative_entropy(rho, DensityMatrix(qubits(2), prod))
             assert val == pytest.approx(mutual_information(rho, {0}, {1}), abs=1e-8)
@@ -167,6 +162,12 @@ class TestRelativeEntropy:
     def test_support_violation(self):
         with pytest.raises(SupportError):
             relative_entropy(dm(epr()), dm(product([random_qubit(1), random_qubit(2)])))
+
+    def test_takes_pure_states(self):
+        psi, sigma = random_pure(qubits(2), seed=7), random_density(qubits(2), 4, seed=8)
+        assert relative_entropy(psi, sigma) == relative_entropy(dm(psi), sigma)
+        assert relative_entropy(ghz(2), dm(ghz(2))) == relative_entropy(dm(ghz(2)), dm(ghz(2)))
+        assert relative_entropy(psi, psi) == relative_entropy(dm(psi), dm(psi))
 
     @pytest.mark.parametrize("bad_arg", [0, 1])
     def test_rejects_invalid_density_in_either_argument(self, bad_arg):
@@ -207,6 +208,26 @@ class TestForm2:
         shape = RegisterShape(dims)
         state = random_pure(shape, seed=40) if rank is None else random_density(shape, rank, 40)
         assert measure_S_form2(state) == pytest.approx(measure_S(state), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_matches_measure_S_on_qubit_densities(self, n):
+        rho = random_density(qubits(n), 4, seed=50 + n)
+        assert measure_S_form2(rho) == pytest.approx(measure_S(rho), abs=1e-12)
+
+    def test_pure_state_forms_no_full_matrix(self):
+        # a 4096 x 4096 complex matrix takes 268 MB; the product-basis
+        # weights of a pure state take one contraction per site on its
+        # 4096 amplitudes
+        psi = random_pure(qubits(12), seed=12)
+        expected = measure_S(psi)
+        tracemalloc.start()
+        try:
+            value = measure_S_form2(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+        assert abs(value - expected) <= 1e-12
 
     def test_checks_rho_once_and_diagonalizes_single_sites_only(self, monkeypatch):
         # the eigenpairs of each product come from its factors': no eigh of a
@@ -305,7 +326,6 @@ class TestMonotoneProperties:
                 assert abs(fn(ab) - fn(a) - fn(b)) < 1e-8
 
     def test_pure_state_strong_super_additivity(self):
-        from totalcorr.core import partial_trace
         for seed in range(20):
             psi = random_pure(qubits(4), seed=800 + seed)
             rho = dm(psi)
@@ -441,7 +461,7 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("fn", [
         measure_M, measure_O, measure_S, measure_MW, measure_report,
-        von_neumann_entropy, linear_entropy, lambda rho: mutual_information(rho, (0,), (1,)),
+        von_neumann_entropy, lambda rho: mutual_information(rho, (0,), (1,)),
     ])
     def test_negative_eigenvalue_rejected(self, fn):
         with pytest.raises(ValueError, match="negative eigenvalue"):

@@ -1,6 +1,7 @@
 """Source-level checks over the package and its tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,18 @@ def test_unused_imports_finds_unread_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_readme_python_blocks_run(capsys):
+    # each print(...) line prints one line, and a trailing "# value" comment
+    # is what it must print
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        expected = [line.partition("#")[2].strip() for line in block.splitlines()
+                    if line.startswith("print(")]
+        assert len(printed) == len(expected), block
+        for out, want in zip(printed, expected):
+            assert out == want or not want, printed

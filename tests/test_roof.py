@@ -17,6 +17,7 @@ from totalcorr import (
     mix,
     product,
     random_density,
+    random_pure,
     roof_additivity_gap,
     roof_minimize,
 )
@@ -380,6 +381,11 @@ class TestAgainstFormationOracle:
         x = (1 + np.sqrt(1 - c * c)) / 2
         expected = -x * np.log2(x) - (1 - x) * np.log2(1 - x)
         assert eof_two_qubit(werner(p)) == pytest.approx(expected, abs=1e-12)
+
+    def test_eof_takes_pure_states(self):
+        psi = random_pure(Q2, seed=9)
+        assert eof_two_qubit(psi) == eof_two_qubit(dm(psi))
+        assert eof_two_qubit(ghz(2)) == eof_two_qubit(dm(ghz(2)))
 
     def test_eof_rejects_other_shapes(self):
         with pytest.raises(ValueError):
