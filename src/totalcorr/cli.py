@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import measures, roof, states
-from .core import ResourceLimitError, partial_trace
+from .core import ResourceLimitError, _blocks, partial_trace
 from .states import PureState, _qubits
 
 SWEEP_HEADER = "family,n,x,O,M,S,MW,O_rel,M_rel,S_rel"
@@ -120,12 +120,24 @@ def cmd_sweep(args) -> int:
             ghz_cache[n] = (rep.O, rep.M, rep.S)
         return ghz_cache[n]
 
+    def reports(family, n):
+        """(x, report) at each grid point. The reports of a slice of the grid
+        come from one marginal pass, and a slice's states, their stack and
+        their reports are dropped before the next slice is built."""
+        grid = xs if states.FAMILIES[family].parametric else [None]
+        # Every family is an n-qubit register. A slice holds at most an eighth
+        # of a block of amplitudes, so its states and their stack beside the F
+        # chunk and the slice's marginal stacks take no more memory than a
+        # lone 12-qubit state's pass. Slices of a quarter block were a few
+        # percent faster and raised the sweep's traced peak by a fifth.
+        for part in _blocks(len(grid), 8 * 2 ** n):
+            yield from zip(grid[part], measures._reports(
+                [states.family_state(family, n, x) for x in grid[part]]))
+
     lines = [SWEEP_HEADER]
     for family in families:
-        fam = states.FAMILIES[family]
-        for n in filter(fam.allows, ns):
-            for x in xs if fam.parametric else [None]:
-                rep = measures.measure_report(states.family_state(family, n, x))
+        for n in filter(states.FAMILIES[family].allows, ns):
+            for x, rep in reports(family, n):
                 vals = (rep.O, rep.M, rep.S)
                 rel = [v / g for v, g in zip(vals, ghz_values(n))] if args.ghz_norm else vals
                 xcol = "" if x is None else f"{x:.2f}"

@@ -73,6 +73,12 @@ def _keep_first(dims: tuple[int, ...], keep: tuple[int, ...]) -> tuple[tuple[int
     return keep + traced, math.prod(dims[i] for i in keep)
 
 
+@functools.lru_cache(maxsize=4096)
+def _stacked_order(dims: tuple[int, ...], keep: tuple[int, ...]) -> tuple[int, ...]:
+    """The axis order of `_keep_first` behind a leading axis, which stays first."""
+    return (0, *(1 + i for i in _keep_first(dims, keep)[0]))
+
+
 @dataclass(frozen=True)
 class RegisterShape:
     """Ordered local dimensions of a multi-qudit register."""
@@ -171,32 +177,39 @@ def _by_dimension(dims: tuple[int, ...], keeps: Sequence[tuple[int, ...]]) -> di
 
 def _pure_marginal_stacks(amplitudes: np.ndarray, dims: tuple[int, ...],
                           keeps: Sequence[tuple[int, ...]]) -> Iterator[tuple[list[int], np.ndarray]]:
-    """The marginals of a pure state on each of `keeps`, stacked by dimension.
+    """The marginals of S pure states of one register on each of `keeps`,
+    stacked by dimension.
 
+    `amplitudes` holds the states' amplitude vectors as an (S, D) array.
     `dims` and every keep must be checked as `_check_dims` and `_check_keep`
     return them. For each marginal dimension dk, in order of first
-    appearance, yields the positions in `keeps` of that dk and their
-    marginals as (count, dk, dk) stacks of `_blocks`, so a consumer that
-    drops each stack holds one at a time. The marginal is F F^dag, F the
-    amplitude tensor with the kept sites moved first, in their original
-    order, as a dk x (D/dk) matrix; the full D x D matrix is never formed.
-    The F of consecutive keeps are copied into one array, which with its
-    conjugate fills a block of `_blocks`, and one stacked F F^dag takes
-    their marginals. Each matrix is the one a lone F @ F.conj().T would
-    give, bit for bit.
+    appearance, yields the positions in `keeps` of a block of that dk and
+    the block's marginals as an (S, count, dk, dk) stack, state by state.
+    The blocks are those of `_blocks` at S dk^2 entries per keep, so a
+    consumer that drops each stack holds one at a time. The marginal is
+    F F^dag, F the amplitude tensor with the kept sites moved first, in
+    their original order, as a dk x (D/dk) matrix; the full D x D matrix is
+    never formed. The F of consecutive keeps, each for all S states in one
+    transposed copy, are copied into one array, which with its conjugate
+    fills a block of `_blocks` (at 2 S D entries per keep, so a lone state
+    is chunked as a register alone, and a caller bounds a chunk by bounding
+    S D), and one stacked F F^dag takes their marginals. Each matrix is the
+    one a lone F @ F.conj().T would give, bit for bit.
     """
-    t = np.asarray(amplitudes, dtype=complex).reshape(dims)
+    t = np.asarray(amplitudes, dtype=complex)
+    count, size = t.shape
+    t = t.reshape((count,) + dims)
     for dk, ks in _by_dimension(dims, keeps).items():
-        for stack in _blocks(len(ks), dk * dk):
+        for stack in _blocks(len(ks), count * dk * dk):
             block = ks[stack]
-            out = np.empty((len(block), dk, dk), dtype=complex)
+            out = np.empty((len(block), count, dk, dk), dtype=complex)
             for chunk in _blocks(len(block), 2 * t.size):
-                F = np.empty((chunk.stop - chunk.start, dk, t.size // dk), dtype=complex)
+                F = np.empty((chunk.stop - chunk.start, count, dk, size // dk), dtype=complex)
                 for f, k in zip(F, block[chunk]):
-                    moved = t.transpose(_keep_first(dims, keeps[k])[0])
+                    moved = t.transpose(_stacked_order(dims, keeps[k]))
                     f.reshape(moved.shape)[...] = moved
-                np.matmul(F, F.conj().transpose(0, 2, 1), out=out[chunk])
-            yield block, out
+                np.matmul(F, F.conj().transpose(0, 1, 3, 2), out=out[chunk])
+            yield block, out.transpose(1, 0, 2, 3)
 
 
 # The low-rank spectrum path of `_certified_spectrum`. Below dimension 64 a dense

@@ -43,32 +43,46 @@ def _entropy(spectra: np.ndarray) -> np.ndarray:
     return -(lam * _log2_clamped(lam)).sum(axis=-1)
 
 
-def _marginals(state: State, keeps: Sequence[tuple[int, ...]],
-               kept: int = 0) -> tuple[list[np.ndarray], list[float], float]:
-    """The marginals on the first `kept` keeps, the entropy of the marginal
-    on each keep, by position, and S(state).
+def _marginals(states: Sequence[State], keeps: Sequence[tuple[int, ...]], kept: int = 0
+               ) -> list[tuple[list[np.ndarray], list[float], float]]:
+    """For each of `states`: the marginals on the first `kept` keeps, the
+    entropy of the marginal on each keep, by position, and S(state).
 
-    A density is checked first, by `von_neumann_entropy`, so an invalid one
-    is rejected before any marginal is taken. Every keep must be sorted and
-    in range, as `_check_keep` returns it; none is checked here. A pure
-    state's marginals come from one stacked contraction, a density's from
-    its partial traces stacked by size. Each stack takes one eigvalsh, and
-    no other matrix outlives its stack.
+    The states are one density on its own, or pure states of one register
+    shape, whose marginals are taken together from one stacked contraction
+    of their amplitudes. A density is checked first, by
+    `von_neumann_entropy`, so an invalid one is rejected before any
+    marginal is taken; its marginals are its partial traces stacked by
+    size. Every keep must be sorted and in range, as `_check_keep` returns
+    it; none is checked here. Each stack takes one eigvalsh, and no other
+    matrix outlives its stack.
     """
-    whole = von_neumann_entropy(state)
-    dims = state.shape.dims
-    if isinstance(state, PureState):
-        groups = _pure_marginal_stacks(state.amplitudes, dims, keeps)
+    first = states[0]
+    dims = first.shape.dims
+    if isinstance(first, PureState):
+        if any(state.shape.dims != dims for state in states[1:]):
+            raise ValueError("states must share one register shape")
+        wholes = [0.0] * len(states)
+        # a lone state's amplitudes are viewed, not copied
+        amplitudes = (np.stack([state.amplitudes for state in states]) if len(states) > 1
+                      else first.amplitudes[None])
+        groups = _pure_marginal_stacks(amplitudes, dims, keeps)
     else:
-        groups = ((ks, np.stack([partial_trace_matrix(state.matrix, dims, keeps[k]) for k in ks]))
+        (rho,) = states
+        wholes = [von_neumann_entropy(rho)]
+        groups = ((ks, np.stack([partial_trace_matrix(rho.matrix, dims, keeps[k])
+                                 for k in ks])[None])
                   for ks in _by_dimension(dims, keeps).values())
-    mats, out = [None] * kept, [0.0] * len(keeps)
+    mats = [[None] * kept for _ in wholes]
+    out = [[0.0] * len(keeps) for _ in wholes]
     for ks, stack in groups:
-        for k, mat, value in zip(ks, stack, _entropy(np.linalg.eigvalsh(stack)).tolist()):
-            out[k] = value
-            if k < kept:
-                mats[k] = mat
-    return mats, out, whole
+        values = _entropy(np.linalg.eigvalsh(stack)).tolist()
+        for state_mats, state_out, state_stack, state_values in zip(mats, out, stack, values):
+            for k, mat, value in zip(ks, state_stack, state_values):
+                state_out[k] = value
+                if k < kept:
+                    state_mats[k] = mat
+    return list(zip(mats, out, wholes))
 
 
 def von_neumann_entropy(rho: State) -> float:
@@ -85,7 +99,7 @@ def mutual_information(state: State, a: Iterable[int], b: Iterable[int]) -> floa
     a, b = _check_keep(a, n), _check_keep(b, n)
     if set(a) & set(b):
         raise ValueError(f"index sets overlap: {a} and {b}")
-    s_a, s_b, s_ab = _marginals(state, [a, b, tuple(sorted(a + b))])[1]
+    s_a, s_b, s_ab = _marginals([state], [a, b, tuple(sorted(a + b))])[0][1]
     return s_a + s_b - s_ab
 
 
@@ -115,27 +129,28 @@ def _linear_entropy_sum(reds: Iterable[np.ndarray]) -> float:
     return total
 
 
-def _marginal_pass(state: State, with_pairs: bool = True) -> tuple[list[np.ndarray], dict]:
-    """Single-site matrices and the correlations, from one pass over the marginals.
+def _marginal_pass(states: Sequence[State], with_pairs: bool = True
+                   ) -> list[tuple[list[np.ndarray], dict]]:
+    """For each of `states` (as `_marginals` takes them), its single-site
+    matrices and correlations, from one pass over the marginals.
 
     Pair marginals are skipped without `with_pairs`, for O and MW. A density
     that is not Hermitian, unit-trace and positive is rejected.
     """
-    n = state.shape.nsites
+    n = states[0].shape.nsites
     subsets = [(i,) for i in range(n)]
     if with_pairs:
         if n < 2:
             raise ValueError("pairwise measures require at least 2 subsystems")
         subsets += combinations(range(n), 2)
-    reds, entropies, whole = _marginals(state, subsets, kept=n)
-    pairs = dict(zip(subsets[n:], entropies[n:]))
-    return reds, _correlations(entropies[:n], pairs, whole)
+    return [(reds, _correlations(entropies[:n], dict(zip(subsets[n:], entropies[n:])), whole))
+            for reds, entropies, whole in _marginals(states, subsets, kept=n)]
 
 
 def _direct(state: State, name: str) -> float:
     """Direct value of M, O, S or MW from one marginal pass; O and MW skip
     the pair marginals."""
-    reds, corr = _marginal_pass(state, name not in ("O", "MW"))
+    ((reds, corr),) = _marginal_pass([state], name not in ("O", "MW"))
     return _linear_entropy_sum(reds) if name == "MW" else corr[name]
 
 
@@ -227,7 +242,7 @@ def measure_S_form2(state: State) -> float:
     if n < 2:
         raise ValueError("requires at least 2 subsystems")
     pairs = list(combinations(range(n), 2))
-    mats, entropies, whole = _marginals(state, [(i,) for i in range(n)] + pairs, n)
+    ((mats, entropies, whole),) = _marginals([state], [(i,) for i in range(n)] + pairs, n)
     eigs = [np.linalg.eigh(mat) for mat in mats]
     weights = _product_weights(state, [vecs for _, vecs in eigs])
     total = 0.0
@@ -259,7 +274,7 @@ def ssa_check(rho: State) -> float:
     """
     if rho.shape.nsites != 3:
         raise ValueError("ssa_check requires exactly 3 subsystems")
-    _, (s_xy, s_yz, s_y), s_xyz = _marginals(rho, [(0, 1), (1, 2), (1,)])
+    ((_, (s_xy, s_yz, s_y), s_xyz),) = _marginals([rho], [(0, 1), (1, 2), (1,)])
     return s_xy + s_yz - s_y - s_xyz
 
 
@@ -290,15 +305,24 @@ def measure_report(state: State) -> MeasureReport:
     Bounds use the largest local dimension, which stays an upper bound
     for mixed-dimension registers.
     """
-    reds, corr = _marginal_pass(state)
-    n, d = state.shape.nsites, max(state.shape.dims)
-    return MeasureReport(
-        shape=state.shape,
-        pair_values=corr["P"],
-        O=corr["O"],
-        M=corr["M"],
-        S=corr["S"],
-        MW=_linear_entropy_sum(reds),
-        bound_M=bound_M(n, d),
-        bound_S=bound_S(n, d),
-    )
+    return _reports([state])[0]
+
+
+def _reports(states: Sequence[State]) -> list[MeasureReport]:
+    """The report of each of `states`, as `_marginals` takes them, from one
+    marginal pass; each state's values are those of its lone report."""
+    shape = states[0].shape
+    n, d = shape.nsites, max(shape.dims)
+    return [
+        MeasureReport(
+            shape=shape,
+            pair_values=corr["P"],
+            O=corr["O"],
+            M=corr["M"],
+            S=corr["S"],
+            MW=_linear_entropy_sum(reds),
+            bound_M=bound_M(n, d),
+            bound_S=bound_S(n, d),
+        )
+        for reds, corr in _marginal_pass(states)
+    ]

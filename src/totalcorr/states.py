@@ -68,13 +68,37 @@ def _qubits(n: int) -> RegisterShape:
     return RegisterShape((2,) * n)
 
 
+def _ghz_terms(n: int) -> tuple[list[int], float]:
+    """The basis indices of GHZ_n's terms and their common amplitude."""
+    return [0, 2 ** n - 1], 1 / math.sqrt(2)
+
+
+def _w_terms(n: int) -> tuple[np.ndarray, float]:
+    """The basis indices of W_n's terms, of Hamming weight 1, and their
+    common amplitude."""
+    return 1 << np.arange(n), 1 / math.sqrt(n)
+
+
+def _wbar_terms(n: int) -> tuple[np.ndarray, float]:
+    """The basis indices of Wbar_n's terms, of Hamming weight n - 1, and
+    their common amplitude."""
+    return (2 ** n - 1) ^ (1 << np.arange(n)), 1 / math.sqrt(n)
+
+
+def _superposition(n: int, *branches: tuple[float, tuple]) -> PureState:
+    """sum_b c_b |branch_b> on n qubits, checked once, from (c_b, terms)
+    pairs; the branches' terms must not share a basis index."""
+    amps = np.zeros(2 ** n, dtype=complex)
+    for weight, (indices, amplitude) in branches:
+        amps[indices] = weight * amplitude
+    return PureState(_qubits(n), amps)
+
+
 def ghz(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
     if n < 2:
         raise ValueError("ghz requires n >= 2")
-    amps = np.zeros(2 ** n, dtype=complex)
-    amps[0] = amps[-1] = 1 / math.sqrt(2)
-    return PureState(_qubits(n), amps)
+    return _superposition(n, (1.0, _ghz_terms(n)))
 
 
 def epr() -> PureState:
@@ -86,21 +110,14 @@ def w(n: int) -> PureState:
     """Equal superposition of the n Hamming-weight-1 basis states."""
     if n < 2:
         raise ValueError("w requires n >= 2")
-    amps = np.zeros(2 ** n, dtype=complex)
-    for j in range(n):
-        amps[1 << j] = 1 / math.sqrt(n)
-    return PureState(_qubits(n), amps)
+    return _superposition(n, (1.0, _w_terms(n)))
 
 
 def wbar(n: int) -> PureState:
     """Equal superposition of the n Hamming-weight-(n-1) basis states."""
     if n < 2:
         raise ValueError("wbar requires n >= 2")
-    amps = np.zeros(2 ** n, dtype=complex)
-    full = 2 ** n - 1
-    for j in range(n):
-        amps[full ^ (1 << j)] = 1 / math.sqrt(n)
-    return PureState(_qubits(n), amps)
+    return _superposition(n, (1.0, _wbar_terms(n)))
 
 
 def cluster(n: int) -> PureState:
@@ -127,8 +144,7 @@ def family1(x: float, n: int) -> PureState:
         raise ValueError("x must lie in [0, 1]")
     if n < 3:
         raise ValueError("family1 requires n >= 3")
-    amps = math.sqrt(x) * ghz(n).amplitudes + math.sqrt(1 - x) * w(n).amplitudes
-    return PureState(_qubits(n), amps)
+    return _superposition(n, (math.sqrt(x), _ghz_terms(n)), (math.sqrt(1 - x), _w_terms(n)))
 
 
 def family2(x: float, n: int) -> PureState:
@@ -137,8 +153,7 @@ def family2(x: float, n: int) -> PureState:
         raise ValueError("x must lie in [0, 1]")
     if n < 3:
         raise ValueError("family2 requires n >= 3 (W and Wbar coincide at n = 2)")
-    amps = math.sqrt(x) * w(n).amplitudes + math.sqrt(1 - x) * wbar(n).amplitudes
-    return PureState(_qubits(n), amps)
+    return _superposition(n, (math.sqrt(x), _w_terms(n)), (math.sqrt(1 - x), _wbar_terms(n)))
 
 
 def product(states: Sequence[PureState]) -> PureState:

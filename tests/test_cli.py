@@ -1,13 +1,14 @@
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from totalcorr import (DensityMatrix, Ensemble, PureState, RegisterShape, RoofConfig, cli, epr,
-                       ghz, measures, product, random_density, random_pure, save_state)
+                       ghz, measures, product, random_density, random_pure, save_state, states)
 from totalcorr.cli import (Check, check_additivity, check_bound_M, check_entropy_ssa, check_flags,
                            check_form2, main)
 
@@ -212,6 +213,42 @@ class TestSweepCommand:
         _, first, _ = run(capsys, "sweep", "--family", "ghz", "--n-range", "2:5")
         _, second, _ = run(capsys, "sweep", "--family", "ghz", "--n-range", "2:5")
         assert first == second
+
+    def test_sliced_sweep_matches_lone_reports(self, capsys):
+        # at n = 9..12 a family's 21-point grid takes several slices, and each
+        # slice's reports one marginal pass; the CSV is byte for byte the rows
+        # of one lone measure_report per state
+        families = ["cluster", "family1", "family2", "ghz", "w"]
+        argv = ["sweep", *(a for f in families for a in ("--family", f)), "--n-range", "9:12"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = [cli.SWEEP_HEADER]
+        for family in families:
+            fam = states.FAMILIES[family]
+            for n in filter(fam.allows, range(9, 13)):
+                ghz_rep = measures.measure_report(ghz(n))
+                for x in [k / 20 for k in range(21)] if fam.parametric else [None]:
+                    rep = measures.measure_report(states.family_state(family, n, x))
+                    vals = (rep.O, rep.M, rep.S)
+                    rel = [v / g for v, g in zip(vals, (ghz_rep.O, ghz_rep.M, ghz_rep.S))]
+                    lines.append(",".join([family, str(n), "" if x is None else f"{x:.2f}"]
+                                          + [f"{v:.12g}" for v in (*vals, rep.MW, *rel)]))
+        assert out == "\n".join(lines) + "\n"
+
+    def test_full_sweep_memory_peak(self, tmp_path):
+        # every family at the default n-range and grid, after one run that
+        # fills the caches: the traced peak was 0.56 MB when the sweep took
+        # one marginal pass per state, and slicing the grids keeps it there
+        argv = ["sweep", *(a for f in sorted(states.FAMILIES) for a in ("--family", f)),
+                "--output", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 0.56e6
 
 
 class TestRoofCommand:

@@ -155,7 +155,7 @@ class TestPartialTrace:
 
     def test_pure_marginal_matches_matrix_path(self):
         psi = random_pure(RegisterShape((2, 2, 2, 2)), seed=8)
-        ((_, (fast,)),) = _pure_marginal_stacks(psi.amplitudes, psi.shape.dims, [(1, 3)])
+        ((_, ((fast,),)),) = _pure_marginal_stacks(psi.amplitudes[None], psi.shape.dims, [(1, 3)])
         slow = partial_trace(dm(psi), (1, 3)).matrix
         assert np.allclose(fast, slow, atol=1e-12)
 
@@ -181,13 +181,13 @@ class TestPureMarginal:
         n = len(dims)
         keeps = [k for size in range(1, n + 1) for k in combinations(range(n), size)]
         for keep in keeps:
-            ((_, (got,)),) = _pure_marginal_stacks(amps, dims, [keep])
+            ((_, ((got,),)),) = _pure_marginal_stacks(amps[None], dims, [keep])
             assert np.array_equal(got, moveaxis_marginal(amps, dims, keep)), keep
         # the same keeps as one list through the stacked contraction
         seen = []
-        for ks, stack in _pure_marginal_stacks(amps, dims, keeps):
-            assert stack.shape == (len(ks),) + stack.shape[1:]
-            for k, got in zip(ks, stack):
+        for ks, stack in _pure_marginal_stacks(amps[None], dims, keeps):
+            assert stack.shape == (1, len(ks)) + stack.shape[2:]
+            for k, got in zip(ks, stack[0]):
                 assert np.array_equal(got, moveaxis_marginal(amps, dims, keeps[k])), keeps[k]
             seen += ks
         assert sorted(seen) == list(range(len(keeps)))
@@ -203,12 +203,83 @@ class TestPureMarginal:
         per_chunk = core.BLOCK_ENTRIES // (2 * 4096)
         assert 1 <= per_chunk < 12
         assert core.BLOCK_ENTRIES // 64 ** 2 == 4
-        groups = list(_pure_marginal_stacks(psi.amplitudes, dims, keeps))
-        assert [(len(ks), stack.shape[1]) for ks, stack in groups] == [
+        groups = list(_pure_marginal_stacks(psi.amplitudes[None], dims, keeps))
+        assert [(len(ks), stack.shape[2]) for ks, stack in groups] == [
             (12, 2), (66, 4), (4, 64), (4, 64), (2, 64)]
         for ks, stack in groups:
-            for k, got in zip(ks, stack):
+            for k, got in zip(ks, stack[0]):
                 assert np.array_equal(got, moveaxis_marginal(psi.amplitudes, dims, keeps[k]))
+
+    @staticmethod
+    def stacked_equals_lone(amps, dims, keeps):
+        """Every marginal of a stack of states, state by state, is the one the
+        state gives alone, bit for bit; and every keep is yielded once."""
+        lone = []
+        for a in amps:
+            got = {}
+            for ks, stack in _pure_marginal_stacks(a[None], dims, keeps):
+                got.update(zip(ks, stack[0]))
+            lone.append(got)
+        seen = []
+        for ks, stack in _pure_marginal_stacks(amps, dims, keeps):
+            assert stack.shape == (len(amps), len(ks)) + stack.shape[2:]
+            for alone, row in zip(lone, stack):
+                for k, got in zip(ks, row):
+                    assert np.array_equal(got, alone[k]), keeps[k]
+            seen += ks
+        assert sorted(seen) == list(range(len(keeps)))
+
+    def test_stack_of_states_every_keep_of_a_mixed_register(self):
+        dims = (3, 2, 2, 2)
+        rng = np.random.default_rng(5)
+        amps = rng.standard_normal((5, 24)) + 1j * rng.standard_normal((5, 24))
+        keeps = [k for size in range(1, 5) for k in combinations(range(4), size)]
+        self.stacked_equals_lone(amps, dims, keeps)
+
+    def test_twelve_qubit_stack_spans_several_chunks(self, monkeypatch):
+        # three 12-qubit states: one keep's F and conjugate hold 2 * 3 * 4096
+        # entries, more than a block, so each keep takes a chunk of its own
+        # and the 12 singles, 66 pairs and 10 six-site keeps take 88 chunks
+        dims = (2,) * 12
+        amps = np.stack([random_pure(RegisterShape(dims), seed=30 + s).amplitudes
+                         for s in range(3)])
+        keeps = ([(i,) for i in range(12)] + list(combinations(range(12), 2))
+                 + list(combinations(range(12), 6))[:10])
+        assert 2 * 3 * 4096 > core.BLOCK_ENTRIES
+        chunks = []
+
+        def counting(count, entries):
+            blocks = list(_blocks(count, entries))
+            if entries == 2 * amps.size:
+                chunks.extend(blocks)
+            return iter(blocks)
+
+        monkeypatch.setattr(core, "_blocks", counting)
+        list(_pure_marginal_stacks(amps, dims, keeps))
+        assert len(chunks) == len(keeps) and all(c.stop - c.start == 1 for c in chunks)
+        monkeypatch.undo()
+        self.stacked_equals_lone(amps, dims, keeps)
+        for ks, stack in _pure_marginal_stacks(amps, dims, keeps[:13]):
+            for a, row in zip(amps, stack):
+                for k, got in zip(ks, row):
+                    assert np.array_equal(got, moveaxis_marginal(a, dims, keeps[k]))
+
+    def test_stacked_reports_equal_lone_reports(self):
+        # the measure layer on a stack: every value of every report, and each
+        # state's marginal entropies and kept matrices, as the state alone gives
+        psis = [random_pure(RegisterShape((2,) * 5), seed=40 + s) for s in range(4)]
+        for got, psi in zip(measures._reports(psis), psis):
+            assert got == measure_report(psi)
+        keeps = [(i,) for i in range(5)] + list(combinations(range(5), 2))
+        for (mats, values, whole), psi in zip(measures._marginals(psis, keeps, 5), psis):
+            ((lone_mats, lone_values, lone_whole),) = measures._marginals([psi], keeps, 5)
+            assert values == lone_values and whole == lone_whole == 0.0
+            assert all(np.array_equal(a, b) for a, b in zip(mats, lone_mats))
+
+    def test_stack_rejects_states_of_two_shapes(self):
+        psis = [random_pure(RegisterShape(dims), seed=1) for dims in ((2, 3), (3, 2))]
+        with pytest.raises(ValueError, match="one register shape"):
+            measures._reports(psis)
 
     def test_keep_forms_agree(self):
         mat, dims = dm(random_pure(RegisterShape((3, 2, 2, 2)), seed=12)).matrix, (3, 2, 2, 2)
@@ -239,7 +310,7 @@ class TestPureMarginal:
         # kept sites first, traced sites after, both in register order; the
         # cache holds these small tuples and no array that grows with D
         psi = random_pure(RegisterShape((2,) * 10), seed=3)
-        list(_pure_marginal_stacks(psi.amplitudes, psi.shape.dims, [(4, 7)]))
+        list(_pure_marginal_stacks(psi.amplitudes[None], psi.shape.dims, [(4, 7)]))
         order, dk = _keep_first(psi.shape.dims, (4, 7))
         assert order == (4, 7, 0, 1, 2, 3, 5, 6, 8, 9) and dk == 4
 

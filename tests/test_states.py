@@ -83,7 +83,45 @@ class TestNamedStates:
             cluster(2)
 
 
+def loop_amplitudes(n, indices, value):
+    """Reference: a zero vector with `value` set at each index in a Python loop."""
+    amps = np.zeros(2 ** n, dtype=complex)
+    for i in indices:
+        amps[i] = value
+    return amps
+
+
+def ghz_ref(n):
+    return loop_amplitudes(n, [0, 2 ** n - 1], 1 / math.sqrt(2))
+
+
+def w_ref(n):
+    return loop_amplitudes(n, [1 << j for j in range(n)], 1 / math.sqrt(n))
+
+
+def wbar_ref(n):
+    return loop_amplitudes(n, [(2 ** n - 1) ^ (1 << j) for j in range(n)], 1 / math.sqrt(n))
+
+
 class TestFamilies:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_amplitudes_bit_identical_to_the_loop_formulas(self, n):
+        # each state is built as one vector and checked once; its entries are
+        # the ones the sum of the separately built branches gives, bit for bit
+        def same_bits(state, want):
+            # array_equal, and the bytes too, so that no signed zero differs
+            got = state.amplitudes
+            return np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+        for build, ref in ((ghz, ghz_ref), (w, w_ref), (wbar, wbar_ref)):
+            assert same_bits(build(n), ref(n))
+        if n < 3:
+            return
+        for x in [k / 20 for k in range(21)] + [0.3141, 1e-9]:
+            a, b = math.sqrt(x), math.sqrt(1 - x)
+            assert same_bits(family1(x, n), a * ghz_ref(n) + b * w_ref(n))
+            assert same_bits(family2(x, n), a * w_ref(n) + b * wbar_ref(n))
+
     def test_family1_endpoints(self):
         assert np.allclose(family1(1.0, 4).amplitudes, ghz(4).amplitudes)
         assert np.allclose(family1(0.0, 4).amplitudes, w(4).amplitudes)
