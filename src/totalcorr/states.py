@@ -129,13 +129,8 @@ def cluster(n: int) -> PureState:
     if n < 4 or n % 2:
         raise ValueError("cluster requires an even n >= 4")
     h = n // 2
-    amps = np.zeros(2 ** n, dtype=complex)
     low = (1 << h) - 1
-    amps[0] = 0.5
-    amps[low] = 0.5
-    amps[low << h] = 0.5
-    amps[(1 << n) - 1] = -0.5
-    return PureState(_qubits(n), amps)
+    return _superposition(n, (1.0, ([0, low, low << h], 0.5)), (-1.0, ([2 ** n - 1], 0.5)))
 
 
 def family1(x: float, n: int) -> PureState:
@@ -247,17 +242,16 @@ def flagged_mixture(e: Ensemble) -> DensityMatrix:
     """sum_i p_i rho_i (x) |i><i| with one appended flag subsystem.
 
     The flag dimension is max(k, 2) so the result remains a valid
-    register even for a single member.
+    register even for a single member. Each p_i rho_i is written into its
+    flag block through a (D, f, D, f) view of the result.
     """
-    k = len(e.members)
-    fdim = max(k, 2)
+    fdim = max(len(e.members), 2)
     d = e.shape.dim
-    out = np.zeros((d * fdim, d * fdim), dtype=complex)
+    out = np.zeros((d, fdim, d, fdim), dtype=complex)
     for i, (p, member) in enumerate(zip(e.weights, e.members)):
-        flag = np.zeros((fdim, fdim), dtype=complex)
-        flag[i, i] = 1.0
-        out += p * np.kron(as_density(member).matrix, flag)
-    return DensityMatrix._adopt(RegisterShape(e.shape.dims + (fdim,)), out)
+        out[:, i, :, i] = p * as_density(member).matrix
+    return DensityMatrix._adopt(RegisterShape(e.shape.dims + (fdim,)),
+                                out.reshape(d * fdim, d * fdim))
 
 
 def random_pure(shape: RegisterShape, seed: int) -> PureState:

@@ -214,6 +214,23 @@ class TestSweepCommand:
         _, second, _ = run(capsys, "sweep", "--family", "ghz", "--n-range", "2:5")
         assert first == second
 
+    @staticmethod
+    def lone_report_csv(families, ns):
+        """The GHZ-normalized sweep CSV at the default grid, from one lone
+        measure_report per row and per normalization."""
+        lines = [cli.SWEEP_HEADER]
+        for family in families:
+            fam = states.FAMILIES[family]
+            for n in filter(fam.allows, ns):
+                ghz_rep = measures.measure_report(ghz(n))
+                for x in [k / 20 for k in range(21)] if fam.parametric else [None]:
+                    rep = measures.measure_report(states.family_state(family, n, x))
+                    vals = (rep.O, rep.M, rep.S)
+                    rel = [v / g for v, g in zip(vals, (ghz_rep.O, ghz_rep.M, ghz_rep.S))]
+                    lines.append(",".join([family, str(n), "" if x is None else f"{x:.2f}"]
+                                          + [f"{v:.12g}" for v in (*vals, rep.MW, *rel)]))
+        return "\n".join(lines) + "\n"
+
     def test_sliced_sweep_matches_lone_reports(self, capsys):
         # at n = 9..12 a family's 21-point grid takes several slices, and each
         # slice's reports one marginal pass; the CSV is byte for byte the rows
@@ -222,18 +239,23 @@ class TestSweepCommand:
         argv = ["sweep", *(a for f in families for a in ("--family", f)), "--n-range", "9:12"]
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        lines = [cli.SWEEP_HEADER]
-        for family in families:
-            fam = states.FAMILIES[family]
-            for n in filter(fam.allows, range(9, 13)):
-                ghz_rep = measures.measure_report(ghz(n))
-                for x in [k / 20 for k in range(21)] if fam.parametric else [None]:
-                    rep = measures.measure_report(states.family_state(family, n, x))
-                    vals = (rep.O, rep.M, rep.S)
-                    rel = [v / g for v, g in zip(vals, (ghz_rep.O, ghz_rep.M, ghz_rep.S))]
-                    lines.append(",".join([family, str(n), "" if x is None else f"{x:.2f}"]
-                                          + [f"{v:.12g}" for v in (*vals, rep.MW, *rel)]))
-        assert out == "\n".join(lines) + "\n"
+        assert out == self.lone_report_csv(families, range(9, 13))
+
+    def test_builds_each_ghz_state_once(self, capsys, monkeypatch):
+        # GHZ_n's one report normalizes the rows at n and is the ghz row
+        built = []
+
+        def counted_ghz(n):
+            built.append(n)
+            return ghz(n)
+
+        monkeypatch.setattr(states, "ghz", counted_ghz)
+        code, out, _ = run(capsys, "sweep", "--family", "cluster", "--family", "ghz",
+                           "--n-range", "4:6")
+        assert code == 0
+        assert sorted(built) == [4, 5, 6]
+        monkeypatch.undo()
+        assert out == self.lone_report_csv(["cluster", "ghz"], range(4, 7))
 
     def test_full_sweep_memory_peak(self, tmp_path):
         # every family at the default n-range and grid, after one run that
@@ -262,15 +284,20 @@ class TestRoofCommand:
         assert doc["ensemble"]["weights"] == [1.0]
         assert len(doc["ensemble"]["members"][0]) == 8
 
-    def test_restart_count_respected(self, capsys, tmp_path):
+    def test_pure_file_returns_the_state_itself(self, capsys, tmp_path):
+        # a pure state is its own one-member decomposition, amplitudes and
+        # all, whatever the restart count
         psi = random_pure(RegisterShape((2, 2)), seed=8)
         path = tmp_path / "psi.json"
         save_state(psi, path)
         code, out, _ = run(capsys, "roof", "--file", str(path), "--restarts", "3")
         assert code == 0
-        # pure inputs short-circuit to a single trivial decomposition
-        assert len(json.loads(out)["per_restart_values"]) == 1
-
+        doc = json.loads(out)
+        value = float(f"{measures.measure_M(psi):.12g}")
+        assert doc["value"] == value == 0.212278008157
+        assert doc["per_restart_values"] == [value]
+        assert doc["ensemble"]["members"] == [
+            [[float(f"{z.real:.12g}"), float(f"{z.imag:.12g}")] for z in psi.amplitudes]]
 
     def test_mixed_roof_members_are_density_matrices(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
@@ -343,6 +370,22 @@ class TestVerifyCommand:
         assert [line.split(":")[0] for line in lines] == ["PASS pure-additivity", "PASS pure-ssa"]
         times = [float(re.fullmatch(r".* \((\d+\.\d\d) s\)", line).group(1)) for line in lines]
         assert 0.0 <= times[0] <= times[1]
+
+    def test_prints_each_line_as_its_check_completes(self, capsys, monkeypatch):
+        # the entropy-range check (the last entropy taken) starts after the
+        # entropy-ssa line is out
+        seen = []
+        entropy = measures.von_neumann_entropy
+
+        def spy(rho):
+            seen.append(capsys.readouterr().out)
+            return entropy(rho)
+
+        monkeypatch.setattr(measures, "von_neumann_entropy", spy)
+        code, out, _ = run(capsys, "verify", "entropy", "--trials", "2")
+        assert code == 0
+        assert seen[-1].startswith("PASS entropy-ssa") and seen[-1].count("\n") == 1
+        assert out.startswith("PASS entropy-range")
 
     def test_flags_small_sample(self, capsys):
         code, out, _ = run(capsys, "verify", "flags", "--trials", "1")

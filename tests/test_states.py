@@ -103,6 +103,13 @@ def wbar_ref(n):
     return loop_amplitudes(n, [(2 ** n - 1) ^ (1 << j) for j in range(n)], 1 / math.sqrt(n))
 
 
+def cluster_ref(n):
+    low = (1 << n // 2) - 1
+    amps = loop_amplitudes(n, [0, low, low << n // 2], 0.5)
+    amps[2 ** n - 1] = -0.5
+    return amps
+
+
 class TestFamilies:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_amplitudes_bit_identical_to_the_loop_formulas(self, n):
@@ -115,6 +122,8 @@ class TestFamilies:
 
         for build, ref in ((ghz, ghz_ref), (w, w_ref), (wbar, wbar_ref)):
             assert same_bits(build(n), ref(n))
+        if n >= 4 and n % 2 == 0:
+            assert same_bits(cluster(n), cluster_ref(n))
         if n < 3:
             return
         for x in [k / 20 for k in range(21)] + [0.3141, 1e-9]:
@@ -262,6 +271,22 @@ class TestFlaggedMixture:
         block = rho.matrix.reshape(4, 2, 4, 2)
         assert np.max(np.abs(block[:, 0, :, 1])) == 0.0
         assert np.max(np.abs(block[:, 1, :, 0])) == 0.0
+
+    def test_equals_the_kron_sum(self):
+        # each member's block is written into a view of the result; the
+        # entries are those of sum_i p_i rho_i (x) |i><i|, bit for bit
+        members = (epr(), random_density(RegisterShape((2, 2)), 3, seed=4),
+                   random_pure(RegisterShape((2, 2)), seed=5))
+        e = Ensemble((0.2, 0.5, 0.3), members)
+        expected = np.zeros((12, 12), dtype=complex)
+        for i, (p, member) in enumerate(zip(e.weights, e.members)):
+            flag = np.zeros((3, 3))
+            flag[i, i] = 1.0
+            rho = member.matrix if isinstance(member, DensityMatrix) else dm(member).matrix
+            expected += p * np.kron(rho, flag)
+        rho = flagged_mixture(e)
+        assert rho.shape == RegisterShape((2, 2, 3))
+        assert np.array_equal(rho.matrix, expected)
 
     def test_tracing_out_flag_recovers_mixture(self):
         e = Ensemble((0.3, 0.7), (epr(), product([KET0, KET1])))
