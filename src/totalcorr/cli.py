@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import measures, roof, states
-from .core import ResourceLimitError, _blocks, partial_trace
+from .core import ResourceLimitError, partial_trace
 from .states import PureState, _qubits
 
 SWEEP_HEADER = "family,n,x,O,M,S,MW,O_rel,M_rel,S_rel"
@@ -119,29 +119,15 @@ def cmd_sweep(args) -> int:
     # there. The cache keeps only the row's values: keeping the reports, with
     # their pair values, raised the sweep's traced peak by 9 %
     ghz_row = functools.cache(lambda n: _row_values(measures.measure_report(states.ghz(n))))
-
-    def rows(family, n):
-        """(x, (O, M, S, MW)) at each grid point. The reports of a slice of
-        the grid come from one marginal pass, and a slice's states, their
-        stack and their reports are dropped before the next slice is built."""
-        if family == "ghz":
-            yield None, ghz_row(n)
-            return
-        grid = xs if states.FAMILIES[family].parametric else [None]
-        # Every family is an n-qubit register. A slice holds at most an eighth
-        # of a block of amplitudes, so its states and their stack beside the F
-        # chunk and the slice's marginal stacks take no more memory than a
-        # lone 12-qubit state's pass. Slices of a quarter block were a few
-        # percent faster and raised the sweep's traced peak by a fifth.
-        for part in _blocks(len(grid), 8 * 2 ** n):
-            yield from zip(grid[part], map(_row_values, measures._reports(
-                [states.family_state(family, n, x) for x in grid[part]])))
-
     lines = [SWEEP_HEADER]
     for family in families:
-        for n in filter(states.FAMILIES[family].allows, ns):
+        fam = states.FAMILIES[family]
+        for n in filter(fam.allows, ns):
             ghz = ghz_row(n) if args.ghz_norm else None
-            for x, (*vals, mw) in rows(family, n):
+            grid = xs if fam.parametric else [None]
+            rows = [ghz_row(n)] if family == "ghz" else map(_row_values, measures._reports(
+                states.family_state(family, n, x) for x in grid))
+            for x, (*vals, mw) in zip(grid, rows):
                 rel = [v / g for v, g in zip(vals, ghz)] if ghz else vals
                 xcol = "" if x is None else f"{x:.2f}"
                 lines.append(

@@ -223,20 +223,26 @@ def _pure_marginal_stacks(amplitudes: np.ndarray, dims: tuple[int, ...],
 SPECTRUM_MIN_DIM = 64
 SPECTRUM_RANK_DIVISOR = 16
 SPECTRUM_TOL = 1e-13
-# Entries per block of `_blocks`, its one reader, which batches the row
+# Entries per block of `_per_block`, its one reader, which sizes the row
 # passes over a density, the stacked pure marginals (F and its conjugate
-# together) and the roof objective's gathered cut stacks
-# (`roof._pure_values`): 256 KB of complex128 stays in cache. Larger blocks
+# together), the roof objective's gathered cut stacks
+# (`roof._pure_values`) and the slices of a stream of reports
+# (`measures._reports`): 256 KB of complex128 stays in cache. Larger blocks
 # were no faster, and their products with a low-rank factor were at times
 # far slower where BLAS spread them over threads.
 BLOCK_ENTRIES = 1 << 14
 
 
+def _per_block(entries: int) -> int:
+    """How many items of `entries` entries each a block of BLOCK_ENTRIES
+    entries holds: one when a single item is larger."""
+    return max(1, BLOCK_ENTRIES // entries)
+
+
 def _blocks(count: int, entries: int) -> Iterator[slice]:
-    """Slices of consecutive items out of `count` that hold at most
-    BLOCK_ENTRIES entries, at `entries` per item (one item when a single
-    one is larger)."""
-    step = max(1, BLOCK_ENTRIES // entries)
+    """Slices of consecutive items out of `count`, `_per_block(entries)`
+    items each."""
+    step = _per_block(entries)
     return (slice(i, min(i + step, count)) for i in range(0, count, step))
 
 

@@ -279,7 +279,7 @@ class TestPureMarginal:
     def test_stack_rejects_states_of_two_shapes(self):
         psis = [random_pure(RegisterShape(dims), seed=1) for dims in ((2, 3), (3, 2))]
         with pytest.raises(ValueError, match="one register shape"):
-            measures._reports(psis)
+            list(measures._reports(psis))
 
     def test_keep_forms_agree(self):
         mat, dims = dm(random_pure(RegisterShape((3, 2, 2, 2)), seed=12)).matrix, (3, 2, 2, 2)
@@ -313,6 +313,48 @@ class TestPureMarginal:
         list(_pure_marginal_stacks(psi.amplitudes[None], psi.shape.dims, [(4, 7)]))
         order, dk = _keep_first(psi.shape.dims, (4, 7))
         assert order == (4, 7, 0, 1, 2, 3, 5, 6, 8, 9) and dk == 4
+
+
+class TestReportStream:
+    """`measures._reports` takes a stream of states a slice at a time: each
+    slice's amplitudes hold an eighth of a block."""
+
+    def test_draws_at_most_one_slice_ahead(self):
+        # nine qubits: a slice holds BLOCK_ENTRIES // (8 * 512) = 4 states, so
+        # report k arrives with the states of its own slice drawn and no more
+        per_slice = BLOCK_ENTRIES // (8 * 2 ** 9)
+        assert per_slice == 4
+        psis = [random_pure(RegisterShape((2,) * 9), seed=50 + s) for s in range(10)]
+        drawn = []
+
+        def counting():
+            for psi in psis:
+                drawn.append(psi)
+                yield psi
+
+        for k, (got, psi) in enumerate(zip(measures._reports(counting()), psis)):
+            assert len(drawn) == min(len(psis), (k // per_slice + 1) * per_slice)
+            assert got == measure_report(psi)
+        assert len(drawn) == len(psis)
+
+    def test_empty_stream_has_no_reports(self):
+        assert list(measures._reports(iter([]))) == []
+
+    @pytest.mark.parametrize("mix, reported", [
+        (lambda: [random_density(RegisterShape((2, 2)), 2, seed=1),
+                  random_pure(RegisterShape((2, 2)), seed=2)], 0),
+        (lambda: [random_density(RegisterShape((2, 2)), 2, seed=1),
+                  random_density(RegisterShape((2, 2)), 3, seed=2)], 0),
+        (lambda: [random_pure(RegisterShape((2,) * 9), seed=s) for s in range(4)]
+         + [random_pure(RegisterShape((3,) + (2,) * 8), seed=5)], 4),
+    ], ids=["density-then-pure", "two-densities", "second-shape-after-a-full-slice"])
+    def test_rejects_a_mix_by_the_rule(self, mix, reported):
+        got = []
+        with pytest.raises(ValueError, match="one density on its own, "
+                                             "or pure states of one register shape"):
+            for report in measures._reports(mix()):
+                got.append(report)
+        assert len(got) == reported
 
 
 class TestBlocks:
@@ -524,3 +566,4 @@ def test_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                           check=True, timeout=60)
     assert done.stdout.strip() == "False"
+

@@ -33,6 +33,7 @@ from totalcorr import (
 )
 from totalcorr import measures
 from totalcorr.cli import check_bound_M, check_entropy_ssa, check_form2
+from totalcorr.core import partial_trace_matrix
 from totalcorr.measures import EIG_CLAMP, _entropy, direct_measure
 from totalcorr.states import PureState
 
@@ -108,6 +109,39 @@ class TestMutualInformation:
         with pytest.raises(ValueError, match="integers"):
             mutual_information(state, [0.5], [1.9])
         assert mutual_information(state, [np.int64(0)], [np.int64(1)]) == pytest.approx(1.0)
+
+    def test_pure_cut_of_the_whole_register_takes_small_marginals(self):
+        # A | B spans all 11 qubits: S(AB) = 0 is read for free, and S(B) is
+        # taken on its smaller complement A, so neither the 2048 x 2048 (67 MB)
+        # nor the 64 x 64 marginal is formed
+        psi = random_pure(qubits(11), seed=11)
+        a, b = range(5), range(5, 11)
+        schmidt = np.linalg.svd(psi.amplitudes.reshape(32, 64), compute_uv=False) ** 2
+        mutual_information(psi, a, b)  # fills the axis-order caches
+        tracemalloc.start()
+        try:
+            got = mutual_information(psi, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(2 * entropy_scalar(schmidt), abs=1e-10)
+        assert peak < 1 << 20
+
+    def test_density_cut_of_the_whole_register_reads_its_entropy(self, monkeypatch):
+        # S(A rest) is the S(rho) the pass certifies, with no partial trace
+        rho = random_density(qubits(8), 4, seed=12)
+        a, rest = (0, 1, 2), (3, 4, 5, 6, 7)
+        want = [float(_entropy(np.linalg.eigvalsh(partial_trace_matrix(rho.matrix, (2,) * 8, k))))
+                for k in (a, rest)]
+        traced = []
+
+        def recording(mat, dims, keep):
+            traced.append(tuple(keep))
+            return partial_trace_matrix(mat, dims, keep)
+
+        monkeypatch.setattr(measures, "partial_trace_matrix", recording)
+        assert mutual_information(rho, a, rest) == want[0] + want[1] - von_neumann_entropy(rho)
+        assert traced == [a, rest]
 
 
 class TestDirectMeasures:
