@@ -13,7 +13,7 @@ import json
 import operator
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -141,14 +141,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_roof(args) -> int:
     state = _load_input_state(args)
-    cfg = roof.RoofConfig(
-        ensemble_size=args.ensemble_size,
-        restarts=args.restarts,
-        max_iterations=args.max_iterations,
-        tolerance=args.tolerance,
-        seed=args.seed,
-        strategy=args.strategy,
-    )
+    cfg = roof.RoofConfig(**{f.name: getattr(args, f.name) for f in fields(roof.RoofConfig)})
     result = roof.roof_minimize(state, args.measure, cfg)
     doc = {
         "value": _jnum(result.value),

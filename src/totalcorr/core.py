@@ -176,17 +176,14 @@ def _by_dimension(dims: tuple[int, ...], keeps: Sequence[tuple[int, ...]]) -> di
 
 
 def _pure_marginal_stacks(amplitudes: np.ndarray, dims: tuple[int, ...],
-                          keeps: Sequence[tuple[int, ...]]) -> Iterator[tuple[list[int], np.ndarray]]:
+                          keeps: Sequence[tuple[int, ...]]) -> np.ndarray:
     """The marginals of S pure states of one register on each of `keeps`,
-    stacked by dimension.
+    keeps whose marginals share one dimension dk, as an (S, count, dk, dk)
+    stack, state by state.
 
     `amplitudes` holds the states' amplitude vectors as an (S, D) array.
     `dims` and every keep must be checked as `_check_dims` and `_check_keep`
-    return them. For each marginal dimension dk, in order of first
-    appearance, yields the positions in `keeps` of a block of that dk and
-    the block's marginals as an (S, count, dk, dk) stack, state by state.
-    The blocks are those of `_blocks` at S dk^2 entries per keep, so a
-    consumer that drops each stack holds one at a time. The marginal is
+    return them; `_by_dimension` groups keeps by size. The marginal is
     F F^dag, F the amplitude tensor with the kept sites moved first, in
     their original order, as a dk x (D/dk) matrix; the full D x D matrix is
     never formed. The F of consecutive keeps, each for all S states in one
@@ -199,17 +196,15 @@ def _pure_marginal_stacks(amplitudes: np.ndarray, dims: tuple[int, ...],
     t = np.asarray(amplitudes, dtype=complex)
     count, size = t.shape
     t = t.reshape((count,) + dims)
-    for dk, ks in _by_dimension(dims, keeps).items():
-        for stack in _blocks(len(ks), count * dk * dk):
-            block = ks[stack]
-            out = np.empty((len(block), count, dk, dk), dtype=complex)
-            for chunk in _blocks(len(block), 2 * t.size):
-                F = np.empty((chunk.stop - chunk.start, count, dk, size // dk), dtype=complex)
-                for f, k in zip(F, block[chunk]):
-                    moved = t.transpose(_stacked_order(dims, keeps[k]))
-                    f.reshape(moved.shape)[...] = moved
-                np.matmul(F, F.conj().transpose(0, 1, 3, 2), out=out[chunk])
-            yield block, out.transpose(1, 0, 2, 3)
+    dk = _keep_first(dims, keeps[0])[1]
+    out = np.empty((len(keeps), count, dk, dk), dtype=complex)
+    for chunk in _blocks(len(keeps), 2 * t.size):
+        F = np.empty((chunk.stop - chunk.start, count, dk, size // dk), dtype=complex)
+        for f, keep in zip(F, keeps[chunk]):
+            moved = t.transpose(_stacked_order(dims, keep))
+            f.reshape(moved.shape)[...] = moved
+        np.matmul(F, F.conj().transpose(0, 1, 3, 2), out=out[chunk])
+    return out.transpose(1, 0, 2, 3)
 
 
 # The low-rank spectrum path of `_certified_spectrum`. Below dimension 64 a dense
@@ -224,8 +219,8 @@ SPECTRUM_MIN_DIM = 64
 SPECTRUM_RANK_DIVISOR = 16
 SPECTRUM_TOL = 1e-13
 # Entries per block of `_per_block`, its one reader, which sizes the row
-# passes over a density, the stacked pure marginals (F and its conjugate
-# together), the roof objective's gathered cut stacks
+# passes over a density, the F chunks of the stacked pure marginals (F and
+# its conjugate together), the roof objective's gathered cut stacks
 # (`roof._pure_values`) and the slices of a stream of reports
 # (`measures._reports`): 256 KB of complex128 stays in cache. Larger blocks
 # were no faster, and their products with a low-rank factor were at times

@@ -51,13 +51,14 @@ def _marginals(states: Sequence[State], keeps: Sequence[tuple[int, ...]], kept: 
     entropy of the marginal on each keep, by position, and S(state).
 
     The states are one density on its own, or pure states of one register
-    shape, as `_reports` checks; the marginals of pure states are taken
-    together from one stacked contraction of their amplitudes. A density
-    is checked first, by `von_neumann_entropy`, so an invalid one is
-    rejected before any marginal is taken; its marginals are its partial
-    traces stacked by size. Every keep must be sorted and in range, as
-    `_check_keep` returns it; none is checked here. Each stack takes one
-    eigvalsh, and no other matrix outlives its stack.
+    shape, as `_reports` checks. The marginals are grouped by size once,
+    by `_by_dimension`, and each group is one stack: for pure states one
+    stacked contraction of their amplitudes, for a density its partial
+    traces. A density is checked first, by `von_neumann_entropy`, so an
+    invalid one is rejected before any marginal is taken. Every keep must
+    be sorted and in range, as `_check_keep` returns it; none is checked
+    here. Each stack takes one eigvalsh, and no other matrix outlives its
+    stack.
 
     An entropy the pass can read for free takes no marginal: a keep of
     every site has S(state), and a pure state's marginal has the entropy of
@@ -81,16 +82,16 @@ def _marginals(states: Sequence[State], keeps: Sequence[tuple[int, ...]], kept: 
         # a lone state's amplitudes are viewed, not copied
         amplitudes = (np.stack([state.amplitudes for state in states]) if len(states) > 1
                       else first.amplitudes[None])
-        groups = _pure_marginal_stacks(amplitudes, dims, taken)
+        take = lambda group: _pure_marginal_stacks(amplitudes, dims, group)
     else:
         (rho,) = states
         wholes = [von_neumann_entropy(rho)]
-        groups = ((ks, np.stack([partial_trace_matrix(rho.matrix, dims, taken[k])
-                                 for k in ks])[None])
-                  for ks in _by_dimension(dims, taken).values())
+        take = lambda group: np.stack(
+            [partial_trace_matrix(rho.matrix, dims, keep) for keep in group])[None]
     mats = [[None] * kept for _ in wholes]
     out = [[whole] * len(keeps) for whole in wholes]
-    for ks, stack in groups:
+    for ks in _by_dimension(dims, taken).values():
+        stack = take([taken[k] for k in ks])
         values = _entropy(np.linalg.eigvalsh(stack)).tolist()
         for state_mats, state_out, state_stack, state_values in zip(mats, out, stack, values):
             for k, mat, value in zip(ks, state_stack, state_values):
@@ -162,31 +163,24 @@ def _marginal_pass(states: Sequence[State], with_pairs: bool = True
             for reds, entropies, whole in _marginals(states, subsets, kept=n)]
 
 
-def _direct(state: State, name: str) -> float:
-    """Direct value of M, O, S or MW from one marginal pass; O and MW skip
-    the pair marginals."""
-    ((reds, corr),) = _marginal_pass([state], name not in ("O", "MW"))
-    return _linear_entropy_sum(reds) if name == "MW" else corr[name]
-
-
 def measure_M(state: State) -> float:
     """Sum of the pairwise probe over all unordered subsystem pairs."""
-    return _direct(state, "M")
+    return direct_measure(state, "M")
 
 
 def measure_O(state: State) -> float:
     """Global correlations: (sum_i S(rho_i) - S(rho)) / 2."""
-    return _direct(state, "O")
+    return direct_measure(state, "O")
 
 
 def measure_S(state: State) -> float:
     """Combined total-correlation measure (O + M)/2."""
-    return _direct(state, "S")
+    return direct_measure(state, "S")
 
 
 def measure_MW(state: State) -> float:
     """Sum of single-site linear entropies."""
-    return _direct(state, "MW")
+    return direct_measure(state, "MW")
 
 
 def _tr_log2(overlaps: np.ndarray, vals: np.ndarray) -> float:
@@ -294,10 +288,12 @@ def ssa_check(rho: State) -> float:
 
 
 def direct_measure(state: State, name: str) -> float:
-    """Direct value of a named measure (M, O, S or MW) on a state."""
+    """Direct value of a named measure (M, O, S or MW) on a state, from one
+    marginal pass; O and MW skip the pair marginals."""
     if name not in MEASURE_NAMES:
         raise ValueError(f"unknown measure {name!r}; choose from {list(MEASURE_NAMES)}")
-    return _direct(state, name)
+    ((reds, corr),) = _marginal_pass([state], name not in ("O", "MW"))
+    return _linear_entropy_sum(reds) if name == "MW" else corr[name]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .core import DensityMatrix, RegisterShape, _frozen_complex, _blocks, _require_density
+from .core import DensityMatrix, RegisterShape, _blocks, _frozen_complex, _indices, _require_density
 
 NORM_TOL = 1e-10
 
@@ -94,10 +94,19 @@ def _superposition(n: int, *branches: tuple[float, tuple]) -> PureState:
     return PureState(_qubits(n), amps)
 
 
+def _size(name: str, n: int) -> int:
+    """n as an int, when the family `name` of `FAMILIES` has a member of
+    that size; otherwise ValueError."""
+    (n,) = _indices([n], "n")
+    fam = FAMILIES[name]
+    if not fam.allows(n):
+        raise ValueError(f"{name} requires {'an even ' if fam.even_only else ''}n >= {fam.min_n}")
+    return n
+
+
 def ghz(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    if n < 2:
-        raise ValueError("ghz requires n >= 2")
+    n = _size("ghz", n)
     return _superposition(n, (1.0, _ghz_terms(n)))
 
 
@@ -108,15 +117,13 @@ def epr() -> PureState:
 
 def w(n: int) -> PureState:
     """Equal superposition of the n Hamming-weight-1 basis states."""
-    if n < 2:
-        raise ValueError("w requires n >= 2")
+    n = _size("w", n)
     return _superposition(n, (1.0, _w_terms(n)))
 
 
 def wbar(n: int) -> PureState:
     """Equal superposition of the n Hamming-weight-(n-1) basis states."""
-    if n < 2:
-        raise ValueError("wbar requires n >= 2")
+    n = _size("wbar", n)
     return _superposition(n, (1.0, _wbar_terms(n)))
 
 
@@ -126,8 +133,7 @@ def cluster(n: int) -> PureState:
     (|0>^n + |0>^{n/2}|1>^{n/2} + |1>^{n/2}|0>^{n/2} - |1>^n)/2; the 1/2
     prefactor is forced by normalization of the four orthogonal terms.
     """
-    if n < 4 or n % 2:
-        raise ValueError("cluster requires an even n >= 4")
+    n = _size("cluster", n)
     h = n // 2
     low = (1 << h) - 1
     return _superposition(n, (1.0, ([0, low, low << h], 0.5)), (-1.0, ([2 ** n - 1], 0.5)))
@@ -137,17 +143,15 @@ def family1(x: float, n: int) -> PureState:
     """sqrt(x)*GHZ_n + sqrt(1-x)*W_n (orthogonal branches, n >= 3)."""
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
-    if n < 3:
-        raise ValueError("family1 requires n >= 3")
+    n = _size("family1", n)
     return _superposition(n, (math.sqrt(x), _ghz_terms(n)), (math.sqrt(1 - x), _w_terms(n)))
 
 
 def family2(x: float, n: int) -> PureState:
-    """sqrt(x)*W_n + sqrt(1-x)*Wbar_n (n >= 3; at n = 2 the branches coincide)."""
+    """sqrt(x)*W_n + sqrt(1-x)*Wbar_n for n >= 3 (W and Wbar coincide at n = 2)."""
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
-    if n < 3:
-        raise ValueError("family2 requires n >= 3 (W and Wbar coincide at n = 2)")
+    n = _size("family2", n)
     return _superposition(n, (math.sqrt(x), _w_terms(n)), (math.sqrt(1 - x), _wbar_terms(n)))
 
 
@@ -165,8 +169,7 @@ def product(states: Sequence[PureState]) -> PureState:
 
 def epr_power(n: int) -> PureState:
     """EPR^{(x)(n/2)} for even n."""
-    if n < 2 or n % 2:
-        raise ValueError("epr_power requires an even n >= 2")
+    n = _size("epr_power", n)
     return product([epr()] * (n // 2))
 
 
@@ -318,11 +321,13 @@ def _from_pairs(entries, depth: int) -> list:
 
 def load_state(path) -> State:
     """Read a state file written by :func:`save_state`; a file of another
-    layout raises ValueError."""
+    layout, or with both amplitudes and a matrix, raises ValueError."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or not isinstance(doc.get("dims"), list):
         raise ValueError("state file must be a JSON object with a 'dims' list")
     shape = RegisterShape(tuple(doc["dims"]))
+    if "amplitudes" in doc and "matrix" in doc:
+        raise ValueError("state file must contain 'amplitudes' or 'matrix', not both")
     if "amplitudes" in doc:
         return PureState(shape, np.array(_from_pairs(doc["amplitudes"], 1)))
     if "matrix" in doc:

@@ -102,7 +102,10 @@ class TestMeasureCommand:
         {"dims": 2, "amplitudes": [[1, 0], [0, 0]]},
         [[1, 0], [0, 0]],
         {"dims": [2], "amplitudes": [["a", 0], [0, 0]]},
-    ], ids=["bare-numbers", "scalar-dims", "top-level-list", "non-numeric"])
+        {"dims": [2, 2], "amplitudes": [[1, 0]] + [[0, 0]] * 3,
+         "matrix": [[[float(i == j == 0), 0] for j in range(4)] for i in range(4)]},
+    ], ids=["bare-numbers", "scalar-dims", "top-level-list", "non-numeric",
+            "amplitudes-and-matrix"])
     def test_malformed_file_is_usage_error(self, capsys, tmp_path, command, doc):
         # exit 1 is a failed verification; a file of the wrong layout is a usage error
         path = tmp_path / "bad.json"
@@ -298,6 +301,25 @@ class TestRoofCommand:
         assert doc["per_restart_values"] == [value]
         assert doc["ensemble"]["members"] == [
             [[float(f"{z.real:.12g}"), float(f"{z.imag:.12g}")] for z in psi.amplitudes]]
+
+    @pytest.mark.parametrize("argv, config", [
+        ((), RoofConfig()),
+        (("--ensemble-size", "3", "--restarts", "2", "--max-iterations", "7",
+          "--tolerance", "1e-4", "--seed", "5", "--strategy", "mixed_roof"),
+         RoofConfig(ensemble_size=3, restarts=2, max_iterations=7, tolerance=1e-4, seed=5,
+                    strategy="mixed_roof")),
+    ], ids=["defaults", "every-option"])
+    def test_options_reach_their_config_fields(self, capsys, monkeypatch, argv, config):
+        configs, minimize = [], cli.roof.roof_minimize
+
+        def capturing(state, measure, cfg):
+            configs.append(cfg)
+            return minimize(state, measure, cfg)
+
+        monkeypatch.setattr(cli.roof, "roof_minimize", capturing)
+        code, _, _ = run(capsys, "roof", "--state", "ghz", "--n", "2", *argv)
+        assert code == 0
+        assert configs == [config]
 
     def test_mixed_roof_members_are_density_matrices(self, capsys, tmp_path):
         path = tmp_path / "rho.json"

@@ -18,6 +18,7 @@ from totalcorr.core import (
     BLOCK_ENTRIES,
     INPUT_TOL,
     _blocks,
+    _by_dimension,
     _certified_factor,
     _certified_spectrum,
     _keep_first,
@@ -155,7 +156,7 @@ class TestPartialTrace:
 
     def test_pure_marginal_matches_matrix_path(self):
         psi = random_pure(RegisterShape((2, 2, 2, 2)), seed=8)
-        ((_, ((fast,),)),) = _pure_marginal_stacks(psi.amplitudes[None], psi.shape.dims, [(1, 3)])
+        ((fast,),) = _pure_marginal_stacks(psi.amplitudes[None], psi.shape.dims, [(1, 3)])
         slow = partial_trace(dm(psi), (1, 3)).matrix
         assert np.allclose(fast, slow, atol=1e-12)
 
@@ -166,6 +167,13 @@ def moveaxis_marginal(amps, dims, keep):
     t = np.moveaxis(amps.reshape(dims), keep, range(len(keep)))
     flat = t.reshape(int(np.prod([dims[i] for i in keep])), -1)
     return flat @ flat.conj().T
+
+
+def grouped_stacks(amps, dims, keeps):
+    """The positions in `keeps` of each group of one marginal size, as
+    `_by_dimension` groups them, and the group's stack."""
+    for ks in _by_dimension(dims, keeps).values():
+        yield ks, _pure_marginal_stacks(amps, dims, [keeps[k] for k in ks])
 
 
 class TestPureMarginal:
@@ -181,11 +189,11 @@ class TestPureMarginal:
         n = len(dims)
         keeps = [k for size in range(1, n + 1) for k in combinations(range(n), size)]
         for keep in keeps:
-            ((_, ((got,),)),) = _pure_marginal_stacks(amps[None], dims, [keep])
+            ((got,),) = _pure_marginal_stacks(amps[None], dims, [keep])
             assert np.array_equal(got, moveaxis_marginal(amps, dims, keep)), keep
         # the same keeps as one list through the stacked contraction
         seen = []
-        for ks, stack in _pure_marginal_stacks(amps[None], dims, keeps):
+        for ks, stack in grouped_stacks(amps[None], dims, keeps):
             assert stack.shape == (1, len(ks)) + stack.shape[2:]
             for k, got in zip(ks, stack[0]):
                 assert np.array_equal(got, moveaxis_marginal(amps, dims, keeps[k])), keeps[k]
@@ -194,18 +202,16 @@ class TestPureMarginal:
 
     def test_chunked_stacks_bit_identical_to_moveaxis(self):
         # twelve qubits: a chunk holds BLOCK_ENTRIES // (2 * 4096) = 2 keeps,
-        # so the 12 singles and the 66 pairs each span several chunks but
-        # one stack; ten 64 x 64 marginals take stacks of BLOCK_ENTRIES entries
+        # so the 12 singles, the 66 pairs and ten 64 x 64 marginals each span
+        # several chunks but one stack
         dims = (2,) * 12
         psi = random_pure(RegisterShape(dims), seed=21)
         keeps = ([(i,) for i in range(12)] + list(combinations(range(12), 2))
                  + list(combinations(range(12), 6))[:10])
         per_chunk = core.BLOCK_ENTRIES // (2 * 4096)
         assert 1 <= per_chunk < 12
-        assert core.BLOCK_ENTRIES // 64 ** 2 == 4
-        groups = list(_pure_marginal_stacks(psi.amplitudes[None], dims, keeps))
-        assert [(len(ks), stack.shape[2]) for ks, stack in groups] == [
-            (12, 2), (66, 4), (4, 64), (4, 64), (2, 64)]
+        groups = list(grouped_stacks(psi.amplitudes[None], dims, keeps))
+        assert [(len(ks), stack.shape[2]) for ks, stack in groups] == [(12, 2), (66, 4), (10, 64)]
         for ks, stack in groups:
             for k, got in zip(ks, stack[0]):
                 assert np.array_equal(got, moveaxis_marginal(psi.amplitudes, dims, keeps[k]))
@@ -217,11 +223,11 @@ class TestPureMarginal:
         lone = []
         for a in amps:
             got = {}
-            for ks, stack in _pure_marginal_stacks(a[None], dims, keeps):
+            for ks, stack in grouped_stacks(a[None], dims, keeps):
                 got.update(zip(ks, stack[0]))
             lone.append(got)
         seen = []
-        for ks, stack in _pure_marginal_stacks(amps, dims, keeps):
+        for ks, stack in grouped_stacks(amps, dims, keeps):
             assert stack.shape == (len(amps), len(ks)) + stack.shape[2:]
             for alone, row in zip(lone, stack):
                 for k, got in zip(ks, row):
@@ -255,11 +261,11 @@ class TestPureMarginal:
             return iter(blocks)
 
         monkeypatch.setattr(core, "_blocks", counting)
-        list(_pure_marginal_stacks(amps, dims, keeps))
+        list(grouped_stacks(amps, dims, keeps))
         assert len(chunks) == len(keeps) and all(c.stop - c.start == 1 for c in chunks)
         monkeypatch.undo()
         self.stacked_equals_lone(amps, dims, keeps)
-        for ks, stack in _pure_marginal_stacks(amps, dims, keeps[:13]):
+        for ks, stack in grouped_stacks(amps, dims, keeps[:13]):
             for a, row in zip(amps, stack):
                 for k, got in zip(ks, row):
                     assert np.array_equal(got, moveaxis_marginal(a, dims, keeps[k]))
@@ -310,7 +316,7 @@ class TestPureMarginal:
         # kept sites first, traced sites after, both in register order; the
         # cache holds these small tuples and no array that grows with D
         psi = random_pure(RegisterShape((2,) * 10), seed=3)
-        list(_pure_marginal_stacks(psi.amplitudes[None], psi.shape.dims, [(4, 7)]))
+        _pure_marginal_stacks(psi.amplitudes[None], psi.shape.dims, [(4, 7)])
         order, dk = _keep_first(psi.shape.dims, (4, 7))
         assert order == (4, 7, 0, 1, 2, 3, 5, 6, 8, 9) and dk == 4
 

@@ -253,7 +253,16 @@ class TestInputErrors:
         (lambda: wbar(1), "wbar requires n >= 2"),
         (lambda: family1(0.5, 2), "family1 requires n >= 3"),
         (lambda: product([]), "product requires at least one state"),
-    ], ids=["unnormalized", "ensemble-lengths", "w", "wbar", "family1", "empty-product"])
+        (lambda: ghz(3.0), "n must be integers"),
+        (lambda: w(3.0), "n must be integers"),
+        (lambda: wbar(3.0), "n must be integers"),
+        (lambda: cluster(4.0), "n must be integers"),
+        (lambda: epr_power(4.0), "n must be integers"),
+        (lambda: family1(0.5, 3.0), "n must be integers"),
+        (lambda: family2(0.5, 3.0), "n must be integers"),
+    ], ids=["unnormalized", "ensemble-lengths", "w", "wbar", "family1", "empty-product",
+            "ghz-float-n", "w-float-n", "wbar-float-n", "cluster-float-n", "epr_power-float-n",
+            "family1-float-n", "family2-float-n"])
     def test_rejects_bad_arguments(self, call, match):
         with pytest.raises(ValueError, match=f"^{match}"):
             call()
@@ -434,8 +443,11 @@ class TestStateFiles:
         ({"dims": [2], "matrix": [[1, 0], [0, 0]]}, "not a \\[re, im\\] pair"),
         ({"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}, "^state file row 1 has 1 entries"),
         ({"dims": [2, 2], "amplitudes": [[1, 0], [0, 0]]}, "expected array of shape \\(4,\\)"),
+        ({"dims": [2, 2], "amplitudes": [[1, 0]] + [[0, 0]] * 3,
+          "matrix": [[[float(i == j == 0), 0] for j in range(4)] for i in range(4)]},
+         "^state file must contain 'amplitudes' or 'matrix', not both$"),
     ], ids=["bare-numbers", "scalar-dims", "top-level-list", "non-numeric", "scalar-matrix",
-            "flat-matrix", "ragged-matrix", "dims-mismatch"])
+            "flat-matrix", "ragged-matrix", "dims-mismatch", "amplitudes-and-matrix"])
     def test_rejects_wrong_layout(self, tmp_path, doc, match):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
