@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import operator
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -111,30 +112,69 @@ def _x_grid(spec: str) -> list[float]:
     return grid
 
 
+def _sweep_lines(cell) -> list[str]:
+    """The CSV lines of one (family, n, grid, ghz, norm) cell of a sweep.
+
+    ghz is GHZ_n's (O, M, S, MW), or None when the cell needs it neither as
+    its row nor, with norm, to normalize its O, M and S.
+    """
+    family, n, grid, ghz, norm = cell
+    rows = [ghz] if family == "ghz" else map(_row_values, measures._reports(
+        states.family_state(family, n, x) for x in grid))
+    lines = []
+    for x, (*vals, mw) in zip(grid, rows):
+        rel = [v / g for v, g in zip(vals, ghz)] if norm else vals
+        xcol = "" if x is None else f"{x:.2f}"
+        lines.append(",".join([family, str(n), xcol] + [_fmt(v) for v in (*vals, mw, *rel)]))
+    return lines
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_cells(cells: list[tuple]) -> list[list[str]]:
+    """`_sweep_lines` of each cell, in the cells' order.
+
+    The cells run largest first (grid points x register dimension; every
+    family is of qubits) on a forked pool of min(cells, usable CPUs)
+    workers, which is closed and joined before this returns. With one
+    worker, no fork start method, or in a daemonic process, which may not
+    start children, they run through `map` here.
+    """
+    import multiprocessing
+
+    workers = min(len(cells), _usable_cpus())
+    if (workers < 2 or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return list(map(_sweep_lines, cells))
+    order = sorted(range(len(cells)), key=lambda k: len(cells[k][2]) << cells[k][1],
+                   reverse=True)
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        parts = pool.map(_sweep_lines, [cells[k] for k in order], chunksize=1)
+        pool.close()
+        pool.join()
+    return [part for _, part in sorted(zip(order, parts))]
+
+
 def cmd_sweep(args) -> int:
     families = sorted(set(args.family or ["ghz"]))
     ns = _parse_range(args.n_range)
     xs = _x_grid(args.x_grid)
-    # GHZ_n's one report gives the ghz row at n and normalizes every row
-    # there. The cache keeps only the row's values: keeping the reports, with
-    # their pair values, raised the sweep's traced peak by 9 %
+    # GHZ_n's one report, built here and not in the workers, gives the ghz
+    # row at n and normalizes every row there. The cache keeps only the
+    # row's values: keeping the reports, with their pair values, raised the
+    # sweep's traced peak by 9 %
     ghz_row = functools.cache(lambda n: _row_values(measures.measure_report(states.ghz(n))))
-    lines = [SWEEP_HEADER]
-    for family in families:
-        fam = states.FAMILIES[family]
-        for n in filter(fam.allows, ns):
-            ghz = ghz_row(n) if args.ghz_norm else None
-            grid = xs if fam.parametric else [None]
-            rows = [ghz_row(n)] if family == "ghz" else map(_row_values, measures._reports(
-                states.family_state(family, n, x) for x in grid))
-            for x, (*vals, mw) in zip(grid, rows):
-                rel = [v / g for v, g in zip(vals, ghz)] if ghz else vals
-                xcol = "" if x is None else f"{x:.2f}"
-                lines.append(
-                    ",".join([family, str(n), xcol] + [_fmt(v) for v in (*vals, mw, *rel)])
-                )
-    if len(lines) == 1:
+    cells = [(family, n, xs if states.FAMILIES[family].parametric else [None],
+              ghz_row(n) if args.ghz_norm or family == "ghz" else None, args.ghz_norm)
+             for family in families for n in filter(states.FAMILIES[family].allows, ns)]
+    if not cells:
         raise ValueError(f"no family in {families} has a size in --n-range {args.n_range!r}")
+    lines = [SWEEP_HEADER, *(line for part in _map_cells(cells) for line in part)]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

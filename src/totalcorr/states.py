@@ -204,16 +204,17 @@ FAMILIES = {
 def family_state(name: str, n: int | None = None, x: float | None = None) -> PureState:
     """The n-site member of a named family, at parameter x for a parametric one.
 
-    n may be left out for a family with a single size. A size the family
-    does not allow, or an x for a family without a parameter, raises
-    ValueError. The constructor runs first, so that its own message stands
-    wherever it checks n itself.
+    n may be left out for a family with a single size. A non-integral n, a
+    size the family does not allow, or an x for a family without a
+    parameter, raises ValueError. The constructor runs first, so that its
+    own message stands wherever it checks n itself.
     """
     fam = FAMILIES[name]
     if n is None and fam.min_n == fam.max_n:
         n = fam.min_n
     if n is None:
         raise ValueError(f"state family {name} requires n")
+    (n,) = _indices([n], "n")
     if fam.parametric and x is None:
         raise ValueError(f"state family {name} requires x")
     state = fam.build(n, x)

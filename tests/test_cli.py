@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+import multiprocessing
+import os
 import re
 import shlex
 import tracemalloc
@@ -260,10 +264,13 @@ class TestSweepCommand:
         monkeypatch.undo()
         assert out == self.lone_report_csv(["cluster", "ghz"], range(4, 7))
 
-    def test_full_sweep_memory_peak(self, tmp_path):
+    def test_full_sweep_memory_peak(self, tmp_path, monkeypatch):
         # every family at the default n-range and grid, after one run that
         # fills the caches: the traced peak was 0.56 MB when the sweep took
-        # one marginal pass per state, and slicing the grids keeps it there
+        # one marginal pass per state, and slicing the grids keeps it there.
+        # One worker runs every cell in this process, where tracemalloc sees
+        # its marginal passes; a forked worker's would not count
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         argv = ["sweep", *(a for f in sorted(states.FAMILIES) for a in ("--family", f)),
                 "--output", str(tmp_path / "sweep.csv")]
         assert main(argv) == 0
@@ -274,6 +281,59 @@ class TestSweepCommand:
         finally:
             tracemalloc.stop()
         assert peak < 1.1 * 0.56e6
+
+
+def sweep_in_process(argv):
+    """main's exit code and stdout, for a call in another process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the sweep's worker pool forks")
+class TestSweepPool:
+    ARGV = ["sweep", *(a for f in sorted(states.FAMILIES) for a in ("--family", f)),
+            "--n-range", "2:9"]
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        # a pool of two, so that the cells leave this process on a one-CPU host too
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+    def test_pooled_csv_equals_one_worker_csv(self, capsys, monkeypatch):
+        code, pooled, _ = run(capsys, *self.ARGV)
+        assert code == 0
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        assert run(capsys, *self.ARGV) == (0, pooled, "")
+        assert len(pooled.splitlines()) > 100
+
+    def test_no_worker_outlives_main(self, capsys):
+        assert run(capsys, *self.ARGV)[0] == 0
+        assert multiprocessing.active_children() == []
+
+    def test_daemonic_process_runs_the_cells_itself(self, capsys):
+        # a daemonic process may not start children: a sweep in a pool
+        # worker takes the one-worker path
+        _, expected, _ = run(capsys, *self.ARGV)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            code, out = pool.apply(sweep_in_process, (self.ARGV,))
+            pool.close()
+            pool.join()
+        assert (code, out) == (0, expected)
+
+    def test_worker_exception_is_usage_error(self, capsys, monkeypatch):
+        def failing(*_):
+            raise ValueError(f"no state in process {os.getpid()}")
+
+        monkeypatch.setattr(states, "family_state", failing)
+        code, out, err = run(capsys, "sweep", "--family", "w", "--family", "wbar",
+                             "--n-range", "2:5")
+        assert (code, out) == (2, "")
+        pid = int(re.fullmatch(r"error: no state in process (\d+)\n", err).group(1))
+        assert pid != os.getpid()
+        assert multiprocessing.active_children() == []
 
 
 class TestRoofCommand:

@@ -382,6 +382,9 @@ class TestFamilyRegistry:
     def test_rejects_options_the_family_lacks(self):
         with pytest.raises(ValueError, match="^state family epr has no member with n = 3$"):
             family_state("epr", 3)
+        # the single-size family takes the sized families' integer rule
+        with pytest.raises(ValueError, match=r"^n must be integers, got \(2\.0,\)$"):
+            family_state("epr", 2.0)
         with pytest.raises(ValueError, match="^state family ghz takes no x$"):
             family_state("ghz", 3, 0.3)
         # the constructor's own message stands where it checks n
