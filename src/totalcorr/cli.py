@@ -2,7 +2,7 @@
 minimizations, and execute the verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/input error,
-3 resource cap exceeded.
+3 resource cap exceeded or an allocation the machine refuses.
 """
 
 from __future__ import annotations
@@ -455,7 +455,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

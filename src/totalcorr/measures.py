@@ -145,24 +145,6 @@ def _linear_entropy_sum(reds: Iterable[np.ndarray]) -> float:
     return total
 
 
-def _marginal_pass(states: Sequence[State], with_pairs: bool = True
-                   ) -> list[tuple[list[np.ndarray], dict]]:
-    """For each of `states` (as `_marginals` takes them), its single-site
-    matrices and correlations, from one pass over the marginals.
-
-    Pair marginals are skipped without `with_pairs`, for O and MW. A density
-    that is not Hermitian, unit-trace and positive is rejected.
-    """
-    n = states[0].shape.nsites
-    subsets = [(i,) for i in range(n)]
-    if with_pairs:
-        if n < 2:
-            raise ValueError("pairwise measures require at least 2 subsystems")
-        subsets += combinations(range(n), 2)
-    return [(reds, _correlations(entropies[:n], dict(zip(subsets[n:], entropies[n:])), whole))
-            for reds, entropies, whole in _marginals(states, subsets, kept=n)]
-
-
 def measure_M(state: State) -> float:
     """Sum of the pairwise probe over all unordered subsystem pairs."""
     return direct_measure(state, "M")
@@ -288,12 +270,11 @@ def ssa_check(rho: State) -> float:
 
 
 def direct_measure(state: State, name: str) -> float:
-    """Direct value of a named measure (M, O, S or MW) on a state, from one
-    marginal pass; O and MW skip the pair marginals."""
+    """Direct value of a named measure (M, O, S or MW) on a state: that field
+    of its `measure_report`."""
     if name not in MEASURE_NAMES:
         raise ValueError(f"unknown measure {name!r}; choose from {list(MEASURE_NAMES)}")
-    ((reds, corr),) = _marginal_pass([state], name not in ("O", "MW"))
-    return _linear_entropy_sum(reds) if name == "MW" else corr[name]
+    return getattr(measure_report(state), name)
 
 
 @dataclass(frozen=True)
@@ -336,14 +317,18 @@ def _reports(states: Iterable[State]) -> Iterator[MeasureReport]:
     for first in stream:  # once: the slices below draw the rest of the stream
         shape, pure = first.shape, isinstance(first, PureState)
         n, d = shape.nsites, max(shape.dims)
+        if n < 2:
+            raise ValueError("pairwise measures require at least 2 subsystems")
+        singles, pairs = [(i,) for i in range(n)], list(combinations(range(n), 2))
         count = _per_block(8 * shape.dim)
         part, checked = [first, *islice(stream, count - 1)], 1
         while part:
             if not all(pure and isinstance(state, PureState) and state.shape == shape
                        for state in part[checked:]):
                 raise ValueError("one density on its own, or pure states of one register shape")
-            yield from (MeasureReport(shape, corr["P"], corr["O"], corr["M"], corr["S"],
-                                      _linear_entropy_sum(reds), bound_M(n, d), bound_S(n, d))
-                        for reds, corr in _marginal_pass(part))
+            for reds, entropies, whole in _marginals(part, singles + pairs, kept=n):
+                corr = _correlations(entropies[:n], dict(zip(pairs, entropies[n:])), whole)
+                yield MeasureReport(shape, corr["P"], corr["O"], corr["M"], corr["S"],
+                                    _linear_entropy_sum(reds), bound_M(n, d), bound_S(n, d))
             part.clear()
             part, checked = list(islice(stream, count)), 0

@@ -79,17 +79,12 @@ class RoofConfig:
     strategy: str = "pure_roof"
 
     def __post_init__(self) -> None:
-        for name in ("restarts", "max_iterations", "ensemble_size", "seed"):
-            if getattr(self, name) is not None:
-                _indices([getattr(self, name)], name)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.ensemble_size is not None and self.ensemble_size < 1:
-            raise ValueError("ensemble_size must be >= 1")
+        for name, lower in (("restarts", 1), ("max_iterations", 1), ("ensemble_size", 1),
+                            ("seed", 0)):
+            value = getattr(self, name)
+            # ensemble_size alone may be None, its default
+            if (value, name) != (None, "ensemble_size") and _indices([value], name)[0] < lower:
+                raise ValueError(f"{name} must be >= {lower}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be positive and finite")
         if self.strategy not in STRATEGIES:

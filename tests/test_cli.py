@@ -335,6 +335,18 @@ class TestSweepPool:
         assert pid != os.getpid()
         assert multiprocessing.active_children() == []
 
+    def test_worker_refused_allocation_exits_3(self, capsys, monkeypatch):
+        def refused(n):
+            raise MemoryError(f"Unable to allocate 2^{n} amplitudes in process {os.getpid()}")
+
+        monkeypatch.setattr(states, "w", refused)
+        code, out, err = run(capsys, "sweep", "--family", "w", "--family", "wbar",
+                             "--n-range", "2:5")
+        assert (code, out) == (3, "")
+        pid = re.fullmatch(r"error: Unable to allocate 2\^\d+ amplitudes in process (\d+)\n", err)
+        assert int(pid.group(1)) != os.getpid()
+        assert multiprocessing.active_children() == []
+
 
 class TestRoofCommand:
     def test_pure_state_roof(self, capsys):
@@ -536,8 +548,8 @@ class TestClaimChecks:
 
 
 class TestExitCodes:
-    # an input error exits 2 and a size above the roof's cap exits 3, each
-    # naming its cause on stderr
+    # an input error exits 2, and a size above the roof's cap or a refused
+    # allocation exits 3, each naming its cause on stderr
     @pytest.mark.parametrize("argv, code, message", [
         (["sweep", "--family", "ghz", "--x-grid", "0:0.3:0.015"], 2,
          "has points that are not exact at two decimals"),
@@ -551,6 +563,16 @@ class TestExitCodes:
         result, out, err = run(capsys, *(arg.format(rho=rho) for arg in argv))
         assert (result, out) == (code, "")
         assert message in err
+
+    def test_refused_allocation_exits_3(self, capsys, monkeypatch):
+        # an allocation the machine refuses is a resource failure, not a
+        # failed verification; the constructor raises without allocating
+        def refused(n):
+            raise MemoryError(f"Unable to allocate 16.0 TiB for GHZ_{n}")
+
+        monkeypatch.setattr(states, "ghz", refused)
+        assert run(capsys, "measure", "--state", "ghz", "--n", "40") == (
+            3, "", "error: Unable to allocate 16.0 TiB for GHZ_40\n")
 
 
 class TestOptions:

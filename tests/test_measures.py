@@ -171,9 +171,11 @@ class TestDirectMeasures:
         psi = product([random_qubit(s) for s in range(3)])
         assert abs(measure_MW(psi)) < 1e-9
 
-    def test_M_rejects_single_site(self):
-        with pytest.raises(ValueError):
-            measure_M(random_qubit(0))
+    @pytest.mark.parametrize("fn", [measure_M, measure_O, measure_S, measure_MW],
+                             ids=["M", "O", "S", "MW"])
+    def test_rejects_single_site(self, fn):
+        with pytest.raises(ValueError, match="^pairwise measures require at least 2 subsystems$"):
+            fn(random_qubit(0))
 
 
 class TestRelativeEntropy:

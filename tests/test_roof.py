@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -123,23 +124,28 @@ class TestRoofMinimize:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            RoofConfig(restarts=0)
-        with pytest.raises(ValueError):
             RoofConfig(strategy="annealing")
-        with pytest.raises(ValueError):
-            RoofConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            RoofConfig(ensemble_size=0)
         for tolerance in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 RoofConfig(tolerance=tolerance)
-        # counts and seeds must be integral at construction, not fail later
-        # inside range or numpy, nor be truncated
-        for field, value in (("restarts", 2.5), ("max_iterations", 3.7),
-                             ("ensemble_size", 4.5), ("seed", 0.5), ("seed", -1)):
-            with pytest.raises(ValueError, match=field):
-                RoofConfig(**{field: value})
         assert RoofConfig(restarts=np.int64(3), seed=np.int32(2)).restarts == 3
+
+    # counts and seeds must be integral at construction, not fail later
+    # inside range or numpy, nor be truncated
+    @pytest.mark.parametrize("field, value, message", [
+        ("restarts", 0, "restarts must be >= 1"),
+        ("max_iterations", 0, "max_iterations must be >= 1"),
+        ("ensemble_size", 0, "ensemble_size must be >= 1"),
+        ("seed", -1, "seed must be >= 0"),
+        ("restarts", 2.5, "restarts must be integers, got (2.5,)"),
+        ("max_iterations", 3.7, "max_iterations must be integers, got (3.7,)"),
+        ("ensemble_size", 4.5, "ensemble_size must be integers, got (4.5,)"),
+        ("seed", 0.5, "seed must be integers, got (0.5,)"),
+        ("restarts", None, "restarts must be integers, got (None,)"),
+    ])
+    def test_config_field_messages(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RoofConfig(**{field: value})
 
     def test_rejects_invalid_density(self):
         not_psd = DensityMatrix(Q2, np.diag([0.7, 0.5, -0.1, -0.1]))
