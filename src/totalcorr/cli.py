@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage/input error,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import operator
 import os
@@ -82,8 +81,10 @@ def cmd_measure(args) -> int:
 
 
 def _parse_range(spec: str) -> list[int]:
-    lo, _, hi = spec.partition(":")
-    lo, hi = int(lo), int(hi)
+    try:
+        lo, hi = map(int, spec.split(":"))
+    except ValueError:
+        raise ValueError(f"--n-range {spec!r} is not lo:hi") from None
     if lo > hi:
         raise ValueError(f"--n-range {spec!r} has lo > hi")
     return list(range(lo, hi + 1))
@@ -115,8 +116,8 @@ def _x_grid(spec: str) -> list[float]:
 def _sweep_lines(cell) -> list[str]:
     """The CSV lines of one (family, n, grid, ghz, norm) cell of a sweep.
 
-    ghz is GHZ_n's (O, M, S, MW), or None when the cell needs it neither as
-    its row nor, with norm, to normalize its O, M and S.
+    ghz is GHZ_n's (O, M, S, MW), or None when no cell at n needs it, as
+    its row or, with norm, to normalize its O, M and S.
     """
     family, n, grid, ghz, norm = cell
     rows = [ghz] if family == "ghz" else map(_row_values, measures._reports(
@@ -140,23 +141,28 @@ def _map_cells(cells: list[tuple]) -> list[list[str]]:
     """`_sweep_lines` of each cell, in the cells' order.
 
     The cells run largest first (grid points x register dimension; every
-    family is of qubits) on a forked pool of min(cells, usable CPUs)
-    workers, which is closed and joined before this returns. With one
+    family is of qubits), so a cell too large for the machine fails before
+    the smaller ones run. They run on a forked pool of min(cells, usable
+    CPUs) workers, which is closed and joined before this returns, and
+    whose results are read in that order: the first cell that raises ends
+    the sweep, and leaving the `with` block terminates the pool. With one
     worker, no fork start method, or in a daemonic process, which may not
     start children, they run through `map` here.
     """
     import multiprocessing
 
+    order = sorted(range(len(cells)), key=lambda k: len(cells[k][2]) << cells[k][1],
+                   reverse=True)
+    largest_first = [cells[k] for k in order]
     workers = min(len(cells), _usable_cpus())
     if (workers < 2 or multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()):
-        return list(map(_sweep_lines, cells))
-    order = sorted(range(len(cells)), key=lambda k: len(cells[k][2]) << cells[k][1],
-                   reverse=True)
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        parts = pool.map(_sweep_lines, [cells[k] for k in order], chunksize=1)
-        pool.close()
-        pool.join()
+        parts = list(map(_sweep_lines, largest_first))
+    else:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            parts = list(pool.imap(_sweep_lines, largest_first))
+            pool.close()
+            pool.join()
     return [part for _, part in sorted(zip(order, parts))]
 
 
@@ -164,16 +170,20 @@ def cmd_sweep(args) -> int:
     families = sorted(set(args.family or ["ghz"]))
     ns = _parse_range(args.n_range)
     xs = _x_grid(args.x_grid)
-    # GHZ_n's one report, built here and not in the workers, gives the ghz
-    # row at n and normalizes every row there. The cache keeps only the
-    # row's values: keeping the reports, with their pair values, raised the
-    # sweep's traced peak by 9 %
-    ghz_row = functools.cache(lambda n: _row_values(measures.measure_report(states.ghz(n))))
-    cells = [(family, n, xs if states.FAMILIES[family].parametric else [None],
-              ghz_row(n) if args.ghz_norm or family == "ghz" else None, args.ghz_norm)
-             for family in families for n in filter(states.FAMILIES[family].allows, ns)]
-    if not cells:
+    sizes = [(family, n) for family in families
+             for n in filter(states.FAMILIES[family].allows, ns)]
+    if not sizes:
         raise ValueError(f"no family in {families} has a size in --n-range {args.n_range!r}")
+    # GHZ_n's one report, built here and not in the workers, gives the ghz
+    # row at n and normalizes every row there. Only the row's values are
+    # kept: keeping the reports, with their pair values, raised the sweep's
+    # traced peak by 9 %. The largest n goes first, so that a register the
+    # machine cannot hold fails before any smaller report is built
+    ghz_ns = {n for family, n in sizes if args.ghz_norm or family == "ghz"}
+    ghz_rows = {n: _row_values(measures.measure_report(states.ghz(n)))
+                for n in sorted(ghz_ns, reverse=True)}
+    cells = [(family, n, xs if states.FAMILIES[family].parametric else [None],
+              ghz_rows.get(n), args.ghz_norm) for family, n in sizes]
     lines = [SWEEP_HEADER, *(line for part in _map_cells(cells) for line in part)]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -437,9 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=measures.MEASURE_NAMES, default="M")
     p.add_argument("--strategy", choices=roof.STRATEGIES, default=defaults.strategy)
     p.add_argument("--restarts", type=int, default=defaults.restarts)
-    p.add_argument("--max-iterations", type=int, default=defaults.max_iterations)
     p.add_argument("--tolerance", type=float, default=defaults.tolerance)
-    p.add_argument("--ensemble-size", type=int, default=defaults.ensemble_size)
     p.set_defaults(func=cmd_roof)
 
     p = sub.add_parser("verify", help="run a numeric verification suite")

@@ -53,6 +53,9 @@ RANK_TOL = 1e-10
 WEIGHT_DROP = 1e-12
 # largest register dimension a roof accepts
 DIM_CAP = 256
+# line searches a restart may take: a restart that keeps gaining at least
+# the tolerance per line search stops here, not converged
+MAX_ITERATIONS = 2000
 
 STRATEGIES = ("pure_roof", "mixed_roof")
 
@@ -61,29 +64,21 @@ STRATEGIES = ("pure_roof", "mixed_roof")
 class RoofConfig:
     """Knobs for the decomposition search.
 
-    ensemble_size is the number m of member rows, r^2 by default where r
-    is the rank of the input; the mixed roof's run at group size g takes
-    g * max(m // g, r) rows. restarts are seeded seed, seed + 1, ...
-    max_iterations counts line searches, and a restart stops converged
-    once a line search lowers the ensemble average by less than tolerance
-    or the average drops below it. strategy is "pure_roof" or
-    "mixed_roof". The register dimension is capped by the module's
-    DIM_CAP.
+    restarts are seeded seed, seed + 1, ... A restart stops converged once
+    a line search lowers the ensemble average by less than tolerance or
+    the average drops below it, and unconverged after the module's
+    MAX_ITERATIONS line searches. strategy is "pure_roof" or "mixed_roof".
+    The register dimension is capped by the module's DIM_CAP.
     """
 
-    ensemble_size: int | None = None
     restarts: int = 20
-    max_iterations: int = 2000
     tolerance: float = 1e-6
     seed: int = 0
     strategy: str = "pure_roof"
 
     def __post_init__(self) -> None:
-        for name, lower in (("restarts", 1), ("max_iterations", 1), ("ensemble_size", 1),
-                            ("seed", 0)):
-            value = getattr(self, name)
-            # ensemble_size alone may be None, its default
-            if (value, name) != (None, "ensemble_size") and _indices([value], name)[0] < lower:
+        for name, lower in (("restarts", 1), ("seed", 0)):
+            if _indices([getattr(self, name)], name)[0] < lower:
                 raise ValueError(f"{name} must be >= {lower}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be positive and finite")
@@ -309,11 +304,11 @@ def _retract(X: np.ndarray) -> np.ndarray:
     epsilon. X = V + t D with D tangent at the isometry V has G = I + t^2
     D^dag D, at least I in exact arithmetic, but a long step along a nearly
     rank-deficient D makes it ill-conditioned and, in floating point, not
-    even positive definite. Over the roofs of the test suite, and roofs
-    with `ensemble_size` equal to the rank, cond(G) stayed below 1e3 and
-    |Q^dag Q - I| below 5e-14. A stack whose factorization fails is
-    retracted one matrix at a time, and a matrix that fails alone takes
-    `_householder`, so each X gets the same Q in a stack as alone.
+    even positive definite. Over the roofs of the test suite cond(G)
+    stayed below 1e3 and |Q^dag Q - I| below 5e-14; no roof's isometry is
+    square, as it has g * (r^2 // g) > r rows. A stack whose factorization
+    fails is retracted one matrix at a time, and a matrix that fails alone
+    takes `_householder`, so each X gets the same Q in a stack as alone.
     """
     try:
         L = np.linalg.cholesky(X.conj().swapaxes(-1, -2) @ X)
@@ -361,17 +356,18 @@ def _bfgs_direction(g: np.ndarray, s: np.ndarray, y: np.ndarray) -> tuple[np.nda
     return d, curved
 
 
-def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
+def _optimize_pure(A, dims, measure, seeds, cfg: RoofConfig, group: int):
     """Restarts seeded by `seeds`, run in lock step: Riemannian memoryless
-    BFGS on a stack of m x r isometries V[k], with member rows W = V[k] A,
-    `group` rows to a member. A restart starts from the phase-fixed
-    Householder Q of a Gaussian m x r matrix, and an iteration is one Armijo
-    line search along the retraction `_retract` (Cholesky-QR); a restart
-    stops, converged, once a step gains less than the tolerance or the
-    total drops below it. The restarts still searching are one contiguous
-    work set, which a restart leaves when it stops: each evaluation is one
-    `_pure_values` call on all their rows, and every restart takes the
-    steps it would take alone.
+    BFGS on a stack of m x r isometries V[k], r = len(A) and m = group *
+    (r^2 // group), with member rows W = V[k] A, `group` rows to a member.
+    A restart starts from the phase-fixed Householder Q of a Gaussian
+    m x r matrix, and an iteration is one Armijo line search along the
+    retraction `_retract` (Cholesky-QR); a restart stops, converged, once
+    a step gains less than the tolerance or the total drops below it, and
+    unconverged after MAX_ITERATIONS line searches. The restarts still
+    searching are one contiguous work set, which a restart leaves when it
+    stops: each evaluation is one `_pure_values` call on all their rows,
+    and every restart takes the steps it would take alone.
 
     The line search backtracks by safeguarded quadratic interpolation
     (Nocedal and Wright, Numerical Optimization, section 3.5): a failed trial
@@ -388,6 +384,7 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
     `_householder`) and the converged flags.
     """
     r = len(A)
+    m = group * (r * r // group)
     A_dag = A.conj().T
 
     def evaluate(V):
@@ -399,8 +396,8 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
     for seed in seeds:
         rng = np.random.default_rng(seed)
         starts.append(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))
-    # a Gaussian start has no bound on its conditioning (it is square when
-    # m = r), so it takes Householder QR
+    # a Gaussian start has no bound on its conditioning, so it takes
+    # Householder QR
     V_out = _householder(np.stack(starts))
     total_out, G = evaluate(V_out)
     converged = total_out < cfg.tolerance
@@ -435,7 +432,7 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
         grad_new, carried, s = _project(V_new, np.array([G_new, grad, moved]))
         direction_new, quasi = _bfgs_direction(grad_new, s, grad_new - carried)
         gained = (total - total_new < cfg.tolerance) | (total_new < cfg.tolerance)
-        done = ok & (gained | (iters >= cfg.max_iterations))
+        done = ok & (gained | (iters >= MAX_ITERATIONS))
         okm = ok[:, None, None]
         V = np.where(okm, V_new, V)
         total = np.where(ok, total_new, total)
@@ -466,11 +463,13 @@ def _optimize_pure(A, dims, measure, m, seeds, cfg: RoofConfig, group: int):
 def roof_minimize(rho: State, measure: str, config: RoofConfig | None = None) -> RoofResult:
     """Minimize the ensemble-averaged measure over decompositions of rho.
 
-    Each candidate decomposes rho into max(m // g, r) members of g rows
-    each. The pure roof runs g = 1, m pure members. The mixed roof returns
-    the lowest of rho itself as its one member (the direct value) and the
-    candidates for g = 1..r. A candidate is the first restart of least
-    total; the winner supplies `per_restart_values` and `converged`.
+    Each candidate decomposes rho, of rank r, into r * r // g members of g
+    rows each. The pure roof runs g = 1: r^2 pure members, which by
+    Caratheodory's theorem an optimal decomposition never needs more of.
+    The mixed roof returns the lowest of rho itself as its one member (the
+    direct value) and the candidates for g = 1..r. A candidate is the
+    first restart of least total; the winner supplies `per_restart_values`
+    and `converged`.
 
     Returns an upper bound on the true convex roof; the reported value is
     exactly the ensemble average of the returned decomposition. Restarts
@@ -494,17 +493,13 @@ def roof_minimize(rho: State, measure: str, config: RoofConfig | None = None) ->
     if r == 1:
         return _single(PureState(shape, vecs[:, 0] / np.linalg.norm(vecs[:, 0])), measure)
 
-    m = cfg.ensemble_size if cfg.ensemble_size is not None else r * r
-    if m < r:
-        raise ValueError(f"ensemble_size must be >= rank ({r}), got {m}")
     A = _eigen_rows(lam, vecs, r)
     seeds = [cfg.seed + k for k in range(cfg.restarts)]
     candidates, groups = [], (1,)
     if cfg.strategy == "mixed_roof":
         candidates, groups = [_single(rho, measure)], range(1, r + 1)
     for g in groups:
-        totals, W, converged = _optimize_pure(
-            A, shape.dims, measure, g * max(m // g, r), seeds, cfg, g)
+        totals, W, converged = _optimize_pure(A, shape.dims, measure, seeds, cfg, g)
         best = int(np.argmin(totals))
         weights, rows, members = _decompose(shape, W[best], g)
         value = float(np.dot(weights, _pure_values(rows, shape.dims, measure, g)[0]))

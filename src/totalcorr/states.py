@@ -271,6 +271,7 @@ def random_density(shape: RegisterShape, rank: int, seed: int) -> DensityMatrix:
     Each weighted outer product is added in row blocks, and the result is
     kept without a copy, so that no D x D array is made beside it."""
     d = shape.dim
+    (rank,) = _indices([rank], "rank")
     if not 1 <= rank <= d:
         raise ValueError(f"rank must lie in 1..{d}, got {rank}")
     rng = np.random.default_rng(seed)

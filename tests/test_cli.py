@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 import shlex
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -347,6 +348,29 @@ class TestSweepPool:
         assert int(pid.group(1)) != os.getpid()
         assert multiprocessing.active_children() == []
 
+    def test_oversized_cell_ends_the_sweep(self, capsys, monkeypatch, tmp_path):
+        # the workers take the cells largest first, and the first failed
+        # cell ends the sweep: the pool is terminated while the smaller
+        # cells that the workers took next still run
+        record, w = tmp_path / "built", states.w
+
+        def constructor(n):
+            with record.open("a") as f:
+                f.write(f"{n}\n")
+            if n > 6:
+                raise MemoryError(f"Unable to allocate 2^{n} amplitudes")
+            time.sleep(0.5)
+            return w(n)
+
+        monkeypatch.setattr(states, "w", constructor)
+        assert run(capsys, "sweep", "--family", "w", "--no-ghz-norm", "--n-range", "2:8") == (
+            3, "", "error: Unable to allocate 2^8 amplitudes\n")
+        built = [int(n) for n in record.read_text().split()]
+        # a worker takes a third cell only after it built one of the first two
+        assert built[0] > 6
+        assert 2 not in built
+        assert multiprocessing.active_children() == []
+
 
 class TestRoofCommand:
     def test_pure_state_roof(self, capsys):
@@ -376,10 +400,8 @@ class TestRoofCommand:
 
     @pytest.mark.parametrize("argv, config", [
         ((), RoofConfig()),
-        (("--ensemble-size", "3", "--restarts", "2", "--max-iterations", "7",
-          "--tolerance", "1e-4", "--seed", "5", "--strategy", "mixed_roof"),
-         RoofConfig(ensemble_size=3, restarts=2, max_iterations=7, tolerance=1e-4, seed=5,
-                    strategy="mixed_roof")),
+        (("--restarts", "2", "--tolerance", "1e-4", "--seed", "5", "--strategy", "mixed_roof"),
+         RoofConfig(restarts=2, tolerance=1e-4, seed=5, strategy="mixed_roof")),
     ], ids=["defaults", "every-option"])
     def test_options_reach_their_config_fields(self, capsys, monkeypatch, argv, config):
         configs, minimize = [], cli.roof.roof_minimize
@@ -530,13 +552,14 @@ class TestClaimChecks:
         assert (attained.passed, attained.trial) == (False, 2)
         assert attained.worst == pytest.approx(1.0)
 
-    def test_flags_fails_on_an_unconverged_roof(self):
+    def test_flags_fails_on_an_unconverged_roof(self, monkeypatch):
         # one line search leaves the two-member mixture's roof far above its
         # minimum; a single pure member's roof is exact at once
         ensembles = [Ensemble((1.0,), (epr(),)),
                      Ensemble((0.5, 0.5), (random_pure(Q2, seed=1), random_pure(Q2, seed=2)))]
         assert check_flags(ensembles, RoofConfig(restarts=8, seed=0)).passed
-        flags = check_flags(ensembles, RoofConfig(restarts=1, max_iterations=1, seed=0))
+        monkeypatch.setattr(cli.roof, "MAX_ITERATIONS", 1)
+        flags = check_flags(ensembles, RoofConfig(restarts=1, seed=0))
         assert (flags.passed, flags.trial) == (False, 1)
 
     def test_verify_reports_a_failure(self, capsys, monkeypatch):
@@ -553,10 +576,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, code, message", [
         (["sweep", "--family", "ghz", "--x-grid", "0:0.3:0.015"], 2,
          "has points that are not exact at two decimals"),
-        (["roof", "--file", "{rho}", "--ensemble-size", "3"], 2,
-         "ensemble_size must be >= rank (4), got 3"),
+        (["sweep", "--family", "ghz", "--n-range", "5"], 2, "--n-range '5' is not lo:hi"),
         (["roof", "--state", "ghz", "--n", "9"], 3, "dimension 512 exceeds cap 256"),
-    ], ids=["x-grid-off-two-decimals", "ensemble-below-rank", "dimension-cap"])
+    ], ids=["x-grid-off-two-decimals", "n-range-not-lo-hi", "dimension-cap"])
     def test_exit_code_and_cause(self, capsys, tmp_path, argv, code, message):
         rho = tmp_path / "rho.json"
         save_state(random_density(RegisterShape((2, 2)), 4, seed=5), rho)
@@ -574,6 +596,26 @@ class TestExitCodes:
         assert run(capsys, "measure", "--state", "ghz", "--n", "40") == (
             3, "", "error: Unable to allocate 16.0 TiB for GHZ_40\n")
 
+    @pytest.mark.parametrize("family, argv", [("ghz", []), ("w", ["--no-ghz-norm"])],
+                             ids=["ghz-rows", "cells"])
+    def test_oversized_sweep_fails_before_smaller_sizes(self, capsys, monkeypatch, family, argv):
+        # the GHZ rows, built in this process, and the cells, here on the
+        # one-worker path, run largest n first: a register the machine
+        # cannot hold fails before any smaller state is built
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        built, real = [], getattr(states, family)
+
+        def constructor(n):
+            built.append(n)
+            if n > 6:
+                raise MemoryError(f"Unable to allocate 2^{n} amplitudes")
+            return real(n)
+
+        monkeypatch.setattr(states, family, constructor)
+        assert run(capsys, "sweep", "--family", family, "--n-range", "2:8", *argv) == (
+            3, "", "error: Unable to allocate 2^8 amplitudes\n")
+        assert built == [8]
+
 
 class TestOptions:
     # each command takes only the options it reads; any other is a usage error
@@ -584,6 +626,9 @@ class TestOptions:
         ["verify", "entropy", "--trials", "1", "--output", "out.txt"],
         ["measure", "--state", "epr", "--seed", "1"],
         ["sweep", "--family", "ghz", "--n-range", "2:3", "--seed", "1"],
+        # the member count is always r^2 and the line-search cap a constant
+        ["roof", "--state", "ghz", "--n", "3", "--ensemble-size", "16"],
+        ["roof", "--state", "ghz", "--n", "3", "--max-iterations", "5"],
     ])
     def test_option_a_command_ignores_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -134,12 +134,8 @@ class TestRoofMinimize:
     # inside range or numpy, nor be truncated
     @pytest.mark.parametrize("field, value, message", [
         ("restarts", 0, "restarts must be >= 1"),
-        ("max_iterations", 0, "max_iterations must be >= 1"),
-        ("ensemble_size", 0, "ensemble_size must be >= 1"),
         ("seed", -1, "seed must be >= 0"),
         ("restarts", 2.5, "restarts must be integers, got (2.5,)"),
-        ("max_iterations", 3.7, "max_iterations must be integers, got (3.7,)"),
-        ("ensemble_size", 4.5, "ensemble_size must be integers, got (4.5,)"),
         ("seed", 0.5, "seed must be integers, got (0.5,)"),
         ("restarts", None, "restarts must be integers, got (None,)"),
     ])
@@ -155,9 +151,7 @@ class TestRoofMinimize:
     @pytest.mark.parametrize("rho, config, match", [
         (DensityMatrix(RegisterShape((2,)), np.eye(2) / 2), FAST,
          "roof requires at least 2 subsystems"),
-        (random_density(Q2, 4, seed=5), RoofConfig(ensemble_size=3),
-         r"ensemble_size must be >= rank \(4\), got 3"),
-    ], ids=["one-site", "ensemble-below-rank"])
+    ], ids=["one-site"])
     def test_rejects_bad_arguments(self, rho, config, match):
         with pytest.raises(ValueError, match=match):
             roof_minimize(rho, "M", config)
@@ -173,15 +167,14 @@ class TestBatchedRestarts:
     # converged restarts can meet at one minimum from different paths, so
     # restarts cut off after three line searches show the path itself
     @pytest.mark.parametrize("max_iterations", [3, 2000])
-    def test_restarts_in_one_batch_do_not_couple(self, dims, rank, measure, seed,
+    def test_restarts_in_one_batch_do_not_couple(self, monkeypatch, dims, rank, measure, seed,
                                                  max_iterations):
+        monkeypatch.setattr(roof, "MAX_ITERATIONS", max_iterations)
         rho = random_density(RegisterShape(dims), rank, seed=50 + rank)
-        batch = roof_minimize(rho, measure, RoofConfig(
-            restarts=6, seed=seed, max_iterations=max_iterations))
+        batch = roof_minimize(rho, measure, RoofConfig(restarts=6, seed=seed))
         assert len(batch.per_restart_values) == 6
         for k, value in enumerate(batch.per_restart_values):
-            alone = roof_minimize(rho, measure, RoofConfig(
-                restarts=1, seed=seed + k, max_iterations=max_iterations))
+            alone = roof_minimize(rho, measure, RoofConfig(restarts=1, seed=seed + k))
             assert value == pytest.approx(alone.value, abs=1e-9)
 
     @pytest.mark.parametrize("dims, rank, measure, strategy", [
@@ -201,16 +194,17 @@ class TestBatchedRestarts:
             assert split.per_restart_values == whole.per_restart_values
             assert split.value == whole.value
 
-    def test_max_iterations_counts_line_searches_per_restart(self):
+    def test_max_iterations_counts_line_searches_per_restart(self, monkeypatch):
         # every accepted line search lowers a restart's total, so each
         # restart's value falls strictly with each line search allowed, on a
         # state whose restarts need many more; a cap that counted objective
         # evaluations would stop a restart that backtracked one search early
+        assert roof.MAX_ITERATIONS == 2000
         rho = random_density(Q2, 4, seed=20_000)
-        runs = [
-            roof_minimize(rho, "M", RoofConfig(restarts=4, seed=3, max_iterations=it))
-            for it in (1, 2, 3, 4, 5, 2000)
-        ]
+        runs = []
+        for cap in (1, 2, 3, 4, 5, 2000):
+            monkeypatch.setattr(roof, "MAX_ITERATIONS", cap)
+            runs.append(roof_minimize(rho, "M", RoofConfig(restarts=4, seed=3)))
         assert not runs[0].converged
         assert runs[-1].converged
         for values in zip(*(run.per_restart_values for run in runs)):
@@ -292,7 +286,7 @@ class TestLineSearch:
         rho = random_density(Q2, 3, seed=38)
         r, lam, vecs = roof._eigen(rho)
         A = roof._eigen_rows(lam, vecs, r)
-        _, rows, _ = roof._optimize_pure(A, Q2.dims, "M", 9, [0, 1], RoofConfig(), 1)
+        _, rows, _ = roof._optimize_pure(A, Q2.dims, "M", [0, 1], RoofConfig(), 1)
         for W in rows:
             np.testing.assert_allclose(W.T @ W.conj(), rho.matrix, rtol=0, atol=1e-12)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -260,9 +261,11 @@ class TestInputErrors:
         (lambda: epr_power(4.0), "n must be integers"),
         (lambda: family1(0.5, 3.0), "n must be integers"),
         (lambda: family2(0.5, 3.0), "n must be integers"),
+        (lambda: random_density(RegisterShape((2, 2)), 2.5, seed=1),
+         re.escape("rank must be integers, got (2.5,)")),
     ], ids=["unnormalized", "ensemble-lengths", "w", "wbar", "family1", "empty-product",
             "ghz-float-n", "w-float-n", "wbar-float-n", "cluster-float-n", "epr_power-float-n",
-            "family1-float-n", "family2-float-n"])
+            "family1-float-n", "family2-float-n", "random_density-float-rank"])
     def test_rejects_bad_arguments(self, call, match):
         with pytest.raises(ValueError, match=f"^{match}"):
             call()
