@@ -96,7 +96,10 @@ def _x_grid(spec: str) -> list[float]:
     The points lie in [0, 1], the families' parameter range, and each must
     be exact at the two decimals the CSV writes.
     """
-    vals = [float(v) for v in spec.split(":")]
+    try:
+        vals = [float(v) for v in spec.split(":")]
+    except ValueError:
+        vals = []  # named by the message below
     if len(vals) == 1:
         vals += [vals[0], 1.0]
     if len(vals) != 3 or not (0.0 <= vals[0] <= vals[1] <= 1.0 and vals[2] >= 0.01):
@@ -137,17 +140,40 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# In a pooled sweep's worker: the Event that its pool's first failed cell sets
+_failed = None
+
+
+def _join_sweep(failed) -> None:
+    global _failed
+    _failed = failed
+
+
+def _pooled_lines(cell) -> list[str] | Exception | None:
+    """`_sweep_lines` of one cell in a pool worker, or the exception it
+    raised, as a value; a cell that starts after any cell of the pool has
+    failed returns None at once."""
+    if _failed.is_set():
+        return None
+    try:
+        return _sweep_lines(cell)
+    except Exception as exc:
+        _failed.set()
+        return exc
+
+
 def _map_cells(cells: list[tuple]) -> list[list[str]]:
     """`_sweep_lines` of each cell, in the cells' order.
 
     The cells run largest first (grid points x register dimension; every
     family is of qubits), so a cell too large for the machine fails before
     the smaller ones run. They run on a forked pool of min(cells, usable
-    CPUs) workers, which is closed and joined before this returns, and
-    whose results are read in that order: the first cell that raises ends
-    the sweep, and leaving the `with` block terminates the pool. With one
-    worker, no fork start method, or in a daemonic process, which may not
-    start children, they run through `map` here.
+    CPUs) workers, one cell per task, which is closed and joined before
+    this returns; the parent reads every result at once. A failed cell
+    sets an Event that the workers inherit, so every cell that starts after
+    it returns at once, and the first failure in largest-first order is
+    raised here. With one worker, no fork start method, or in a daemonic
+    process, which may not start children, they run through `map` here.
     """
     import multiprocessing
 
@@ -159,10 +185,14 @@ def _map_cells(cells: list[tuple]) -> list[list[str]]:
             or "fork" not in multiprocessing.get_all_start_methods()):
         parts = list(map(_sweep_lines, largest_first))
     else:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = list(pool.imap(_sweep_lines, largest_first))
+        context = multiprocessing.get_context("fork")
+        with context.Pool(workers, _join_sweep, (context.Event(),)) as pool:
+            parts = pool.map(_pooled_lines, largest_first, chunksize=1)
             pool.close()
             pool.join()
+        for part in parts:
+            if isinstance(part, Exception):
+                raise part
     return [part for _, part in sorted(zip(order, parts))]
 
 

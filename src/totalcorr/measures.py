@@ -52,19 +52,20 @@ def _marginals(states: Sequence[State], keeps: Sequence[tuple[int, ...]], kept: 
 
     The states are one density on its own, or pure states of one register
     shape, as `_reports` checks. The marginals are grouped by size once,
-    by `_by_dimension`, and each group is one stack: for pure states one
-    stacked contraction of their amplitudes, for a density its partial
-    traces. A density is checked first, by `von_neumann_entropy`, so an
-    invalid one is rejected before any marginal is taken. Every keep must
-    be sorted and in range, as `_check_keep` returns it; none is checked
-    here. Each stack takes one eigvalsh, and no other matrix outlives its
-    stack.
+    by `_by_dimension`, and each group is one stack per route: for pure
+    states one stacked contraction of the amplitudes of those whose
+    amplitudes are real, in real arithmetic, and one of the others', for a
+    density its partial traces. A density is checked first, by
+    `von_neumann_entropy`, so an invalid one is rejected before any marginal
+    is taken. Every keep must be sorted and in range, as `_check_keep`
+    returns it; none is checked here. Each stack takes one eigvalsh, and no
+    other matrix outlives its stack.
 
     An entropy the pass can read for free takes no marginal: a keep of
     every site has S(state), and a pure state's marginal has the entropy of
     its complement's, which is taken instead when the complement's
     dimension is strictly smaller. A kept keep, and a keep whose complement
-    ties it, is taken as given.
+    ties it, is taken as given. A kept marginal of a real state is float64.
     """
     first = states[0]
     dims, size = first.shape.dims, first.shape.dim
@@ -79,25 +80,34 @@ def _marginals(states: Sequence[State], keeps: Sequence[tuple[int, ...]], kept: 
             taken.append(order[len(keep):] if k >= kept and pure and size < dk * dk else keep)
     if pure:
         wholes = [0.0] * len(states)
-        # a lone state's amplitudes are viewed, not copied
-        amplitudes = (np.stack([state.amplitudes for state in states]) if len(states) > 1
-                      else first.amplitudes[None])
-        take = lambda group: _pure_marginal_stacks(amplitudes, dims, group)
+        # each state whose amplitudes have no imaginary part takes the real
+        # route; each route stacks its own states, so no state's route, nor
+        # any of its values, depends on its slice-mates
+        routes: dict[bool, list[int]] = {}
+        for s, state in enumerate(states):
+            routes.setdefault(not state.amplitudes.imag.any(), []).append(s)
+        parts = []
+        for real, members in routes.items():
+            amps = [states[s].amplitudes.real if real else states[s].amplitudes for s in members]
+            # a lone state's amplitudes are viewed, not copied
+            parts.append((members, np.stack(amps) if len(amps) > 1 else amps[0][None]))
+        take = lambda group: [(members, _pure_marginal_stacks(amps, dims, group))
+                              for members, amps in parts]
     else:
         (rho,) = states
         wholes = [von_neumann_entropy(rho)]
-        take = lambda group: np.stack(
-            [partial_trace_matrix(rho.matrix, dims, keep) for keep in group])[None]
+        take = lambda group: [([0], np.stack(
+            [partial_trace_matrix(rho.matrix, dims, keep) for keep in group])[None])]
     mats = [[None] * kept for _ in wholes]
     out = [[whole] * len(keeps) for whole in wholes]
     for ks in _by_dimension(dims, taken).values():
-        stack = take([taken[k] for k in ks])
-        values = _entropy(np.linalg.eigvalsh(stack)).tolist()
-        for state_mats, state_out, state_stack, state_values in zip(mats, out, stack, values):
-            for k, mat, value in zip(ks, state_stack, state_values):
-                state_out[where[k]] = value
-                if k < kept:
-                    state_mats[k] = mat
+        for members, stack in take([taken[k] for k in ks]):
+            values = _entropy(np.linalg.eigvalsh(stack)).tolist()
+            for s, state_stack, state_values in zip(members, stack, values):
+                for k, mat, value in zip(ks, state_stack, state_values):
+                    out[s][where[k]] = value
+                    if k < kept:
+                        mats[s][k] = mat
     return list(zip(mats, out, wholes))
 
 

@@ -371,6 +371,27 @@ class TestSweepPool:
         assert 2 not in built
         assert multiprocessing.active_children() == []
 
+    def test_no_cell_starts_work_after_a_failure(self, capsys, monkeypatch, tmp_path):
+        # four workers on any host: every cell after the four largest is taken
+        # by a worker that has just failed one, so it finds the shared event
+        # set and builds nothing, and the largest cell's failure is reported
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        record, w = tmp_path / "built", states.w
+
+        def constructor(n):
+            with record.open("a") as f:
+                f.write(f"{n}\n")
+            if n > 8:
+                raise MemoryError(f"Unable to allocate 2^{n} amplitudes")
+            return w(n)
+
+        monkeypatch.setattr(states, "w", constructor)
+        assert run(capsys, "sweep", "--family", "w", "--no-ghz-norm", "--n-range", "2:12") == (
+            3, "", "error: Unable to allocate 2^12 amplitudes\n")
+        built = {int(n) for n in record.read_text().split()}
+        assert 12 in built and built <= {9, 10, 11, 12}
+        assert multiprocessing.active_children() == []
+
 
 class TestRoofCommand:
     def test_pure_state_roof(self, capsys):
@@ -576,9 +597,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, code, message", [
         (["sweep", "--family", "ghz", "--x-grid", "0:0.3:0.015"], 2,
          "has points that are not exact at two decimals"),
+        (["sweep", "--family", "ghz", "--x-grid", "0:1:x"], 2,
+         "--x-grid '0:1:x' is not x or lo:hi:step"),
+        (["sweep", "--family", "ghz", "--x-grid", ""], 2, "--x-grid '' is not x or lo:hi:step"),
         (["sweep", "--family", "ghz", "--n-range", "5"], 2, "--n-range '5' is not lo:hi"),
         (["roof", "--state", "ghz", "--n", "9"], 3, "dimension 512 exceeds cap 256"),
-    ], ids=["x-grid-off-two-decimals", "n-range-not-lo-hi", "dimension-cap"])
+    ], ids=["x-grid-off-two-decimals", "x-grid-not-a-number", "x-grid-empty",
+            "n-range-not-lo-hi", "dimension-cap"])
     def test_exit_code_and_cause(self, capsys, tmp_path, argv, code, message):
         rho = tmp_path / "rho.json"
         save_state(random_density(RegisterShape((2, 2)), 4, seed=5), rho)

@@ -37,7 +37,8 @@ from totalcorr.measures import (
     ssa_check,
     von_neumann_entropy,
 )
-from totalcorr.states import dm, epr, ghz, random_density, random_pure
+from totalcorr import states
+from totalcorr.states import PureState, dm, epr, ghz, random_density, random_pure
 
 def ptrace_loops(mat, dims, keep):
     """Independent index-sum partial trace."""
@@ -361,6 +362,62 @@ class TestReportStream:
             for report in measures._reports(mix()):
                 got.append(report)
         assert len(got) == reported
+
+
+def rotated(psi, phase):
+    """psi times a global phase: the same state, through complex arithmetic."""
+    return PureState(psi.shape, phase * psi.amplitudes)
+
+
+class TestRealRoute:
+    """Pure states whose amplitudes have no imaginary part take real
+    arithmetic in the marginal pass; the route is chosen state by state."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2, 2), (2,) * 10])
+    def test_real_stacks_are_float64_near_moveaxis(self, dims):
+        d, n = int(np.prod(dims)), len(dims)
+        rng = np.random.default_rng(d)
+        amps = rng.standard_normal((3, d))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        keeps = [k for size in range(1, min(n, 3) + 1) for k in combinations(range(n), size)]
+        for ks, stack in grouped_stacks(amps, dims, keeps):
+            assert stack.dtype == np.float64
+            for a, row in zip(amps, stack):
+                for k, got in zip(ks, row):
+                    want = moveaxis_marginal(a.astype(complex), dims, keeps[k])
+                    assert np.max(np.abs(got - want)) <= 1e-14, keeps[k]
+        # and each real state's marginals are its lone ones, bit for bit
+        TestPureMarginal.stacked_equals_lone(amps, dims, keeps)
+
+    @pytest.mark.parametrize("n", [5, 9, 10])
+    def test_stream_of_both_routes_equals_lone_reports(self, n):
+        # real and complex states alternate, so that every slice of several
+        # states (64, 4 and 2 states at n = 5, 9 and 10) holds both routes
+        real = [states.family_state(name, n, x) for name in ("family1", "family2")
+                for x in (0.0, 0.35, 0.7)]
+        assert all(not psi.amplitudes.imag.any() for psi in real)
+        other = [rotated(psi, np.exp(0.7j)) for psi in real[:3]] + [
+            random_pure(RegisterShape((2,) * n), seed=60 + s) for s in range(3)]
+        stream = [psi for pair in zip(real, other) for psi in pair]
+        got = list(measures._reports(stream))
+        assert len(got) == len(stream)
+        for report, psi in zip(got, stream):
+            assert report == measure_report(psi)
+        keeps = [(i,) for i in range(n)]
+        for (mats, _, _), psi in zip(measures._marginals(stream, keeps, n), stream):
+            want = np.float64 if psi in real else np.complex128
+            assert all(mat.dtype == want for mat in mats)
+
+    def test_phase_moves_no_report_value_past_1e13(self):
+        for name, family in sorted(states.FAMILIES.items()):
+            for n in filter(family.allows, range(3, 13)):
+                psi = states.family_state(name, n, 0.35 if family.parametric else None)
+                a, b = measure_report(psi), measure_report(rotated(psi, 1j))
+                assert a.pair_values.keys() == b.pair_values.keys()
+                for key, value in a.pair_values.items():
+                    assert abs(value - b.pair_values[key]) <= 1e-13, (name, n, key)
+                for field in ("O", "M", "S", "MW"):
+                    assert abs(getattr(a, field) - getattr(b, field)) <= 1e-13, (name, n, field)
 
 
 class TestBlocks:
